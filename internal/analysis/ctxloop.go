@@ -11,8 +11,9 @@ import (
 // be aborted without waiting for the full table scan. Concretely, inside
 // packages named "sqlmini", any `for`/`range` loop that advances a stream —
 // calling a method named `next` or `nextBatch` (the internal operator
-// protocol) or `engine.Cursor.Next`/`FillBatch` — must, somewhere in the
-// loop body or its condition, do one of:
+// protocol), `engine.Cursor.Next`/`FillBatch`/`FillColumns`, or
+// `btree.Iterator.Next`/`LeafRun` — must, somewhere in the loop body or
+// its condition, do one of:
 //
 //   - call a method on a context.Context value (ctx.Err(), ctx.Done()),
 //   - call .Load() on an atomic.Bool (the parallel workers' stop flag),
@@ -61,7 +62,8 @@ func runCtxloop(p *Pass) error {
 
 // streamAdvance reports whether call advances a stream: the internal
 // operator protocol (next/nextBatch on any type) or a cursor walk
-// (engine.Cursor Next/FillBatch, btree.Iterator Next).
+// (engine.Cursor Next/FillBatch/FillColumns, btree.Iterator
+// Next/LeafRun).
 func streamAdvance(info *types.Info, call *ast.CallExpr) bool {
 	recv, name, ok := calleeMethod(info, call)
 	if !ok {
@@ -78,8 +80,12 @@ func streamAdvance(info *types.Info, call *ast.CallExpr) bool {
 		}
 		tn := n.Obj().Name()
 		return tn == "operator" || tn == "batchOperator" || strings.HasSuffix(tn, "Op")
-	case "Next", "FillBatch":
+	case "Next":
 		return typeIs(recv, "engine", "Cursor") || typeIs(recv, "btree", "Iterator")
+	case "FillBatch", "FillColumns":
+		return typeIs(recv, "engine", "Cursor")
+	case "LeafRun":
+		return typeIs(recv, "btree", "Iterator")
 	}
 	return false
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"sync/atomic"
 
+	"btree"
 	"engine"
 )
 
@@ -96,6 +97,58 @@ func drainCursorPolled(ctx context.Context, cur *engine.Cursor) (int64, error) {
 		last = cur.Key()
 	}
 	return last, nil
+}
+
+// bad: a columnar batch fill loop that never polls.
+func fillColumnsNoPoll(cur *engine.Cursor, need []bool, keys []int64, cols [][]engine.Value) int {
+	total := 0
+	for { // want `advances a row/batch stream without polling cancellation`
+		n, err := cur.FillColumns(len(keys), need, keys, cols, nil)
+		total += n
+		if err != nil || n < len(keys) {
+			return total
+		}
+	}
+}
+
+// good: the same fill loop checking the pollCancel helper.
+func fillColumnsPolled(ctx context.Context, cur *engine.Cursor, need []bool, keys []int64, cols [][]engine.Value) (int, error) {
+	total := 0
+	for {
+		if err := pollCancel(ctx); err != nil {
+			return total, err
+		}
+		n, err := cur.FillColumns(len(keys), need, keys, cols, nil)
+		total += n
+		if err != nil || n < len(keys) {
+			return total, err
+		}
+	}
+}
+
+// bad: walking B+tree leaf runs without a poll.
+func leafRunsNoPoll(it *btree.Iterator) int {
+	rows := 0
+	for { // want `advances a row/batch stream without polling cancellation`
+		leaf, from, to, err := it.LeafRun(1024)
+		if leaf == nil || err != nil {
+			return rows
+		}
+		rows += to - from
+	}
+}
+
+// good: the leaf-run walk honoring the workers' stop flag.
+func leafRunsStopFlag(it *btree.Iterator, stop *atomic.Bool) int {
+	rows := 0
+	for !stop.Load() {
+		leaf, from, to, err := it.LeafRun(1024)
+		if leaf == nil || err != nil {
+			return rows
+		}
+		rows += to - from
+	}
+	return rows
 }
 
 // loops that advance nothing are not the analyzer's business.

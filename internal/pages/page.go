@@ -366,11 +366,15 @@ func (p *Page) UpdateChecksum() {
 	binary.LittleEndian.PutUint32(p.Buf[offChecksum:], sum)
 }
 
-// VerifyChecksum validates the stored checksum; zero (never written)
-// checksums pass, matching freshly allocated pages.
+// VerifyChecksum validates the stored checksum. Every page write stamps
+// one — the pool's write-back and the WAL page images recovery replays
+// — so the only page that may lack it is one never written at all: all
+// zero bytes, as Allocate leaves it. A zero checksum field on any other
+// page is checked like any other value, and fails unless the page's CRC
+// really is zero.
 func (p *Page) VerifyChecksum() error {
 	stored := binary.LittleEndian.Uint32(p.Buf[offChecksum:])
-	if stored == 0 {
+	if stored == 0 && p.allZero() {
 		return nil
 	}
 	binary.LittleEndian.PutUint32(p.Buf[offChecksum:], 0)
@@ -380,6 +384,16 @@ func (p *Page) VerifyChecksum() error {
 		return fmt.Errorf("%w: page %d: stored %08x computed %08x", ErrChecksum, p.ID, stored, sum)
 	}
 	return nil
+}
+
+// allZero reports whether every byte of the page is zero.
+func (p *Page) allZero() bool {
+	for i := 0; i < PageSize; i += 8 {
+		if binary.LittleEndian.Uint64(p.Buf[i:]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate performs structural sanity checks on a page read from disk.

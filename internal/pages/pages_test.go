@@ -2,6 +2,7 @@ package pages
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -321,6 +322,56 @@ func TestBufferPoolChecksumVerification(t *testing.T) {
 	f, err = bp.Fetch(id)
 	if err != nil {
 		t.Fatalf("unverified fetch: %v", err)
+	}
+	bp.Unpin(f, false)
+}
+
+// A zero checksum field used to switch verification off for the page.
+// Only a never-written (all-zero) page may go unchecked now: a written
+// leaf whose checksum field is zeroed must fail its physical read.
+func TestZeroedChecksumFailsPhysicalRead(t *testing.T) {
+	d := NewMemDisk()
+	bp := NewBufferPool(d, 4)
+	f, err := bp.NewPage(TypeData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.Page.ID
+	if _, err := f.Page.Insert([]byte("leaf record")); err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(f, true)
+	if err := bp.DropCleanBuffers(); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, PageSize)
+	if err := d.ReadPage(id, raw); err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint32(raw[offChecksum:]) == 0 {
+		t.Fatal("write-back did not stamp a checksum")
+	}
+	binary.LittleEndian.PutUint32(raw[offChecksum:], 0)
+	if err := d.WritePage(id, raw); err != nil {
+		t.Fatal(err)
+	}
+	before := bp.Stats().PhysicalReads
+	//lint:allow pinleak the failed fetch pins nothing
+	if _, err := bp.Fetch(id); !errors.Is(err, ErrChecksum) {
+		t.Errorf("fetch of a written page with a zeroed checksum: %v, want ErrChecksum", err)
+	}
+	if bp.Stats().PhysicalReads == before {
+		t.Error("the fetch did not read the page from disk")
+	}
+
+	// A page allocated but never written is all zero and still passes.
+	fresh, err := d.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err = bp.Fetch(fresh)
+	if err != nil {
+		t.Fatalf("fetch of a never-written page: %v", err)
 	}
 	bp.Unpin(f, false)
 }

@@ -200,33 +200,19 @@ func (s *batchScanOp) close() error {
 	return nil
 }
 
-// fillFromCursor appends up to b.cap rows from cur into b, decoding the
-// needed columns. Shared by the serial scan and the parallel workers.
+// fillFromCursor fills the empty batch b with up to b.cap rows from cur,
+// decoding the needed columns leaf run by leaf run and copying binary
+// values into the batch arena. Shared by the serial scan and the
+// parallel workers.
 func fillFromCursor(cur *engine.Cursor, b *Batch, need []bool) (int, error) {
 	for ci, use := range need {
 		if use {
 			b.ensureCol(ci)
 		}
 	}
-	return cur.FillBatch(b.cap-b.n, func(key int64, row *engine.RowView) error {
-		i := b.n
-		b.keys[i] = key
-		for ci, use := range need {
-			if !use {
-				continue
-			}
-			v, err := row.Col(ci)
-			if err != nil {
-				return err
-			}
-			if v.Kind == engine.ColVarBinary || v.Kind == engine.ColVarBinaryMax {
-				v.B = b.copyBytes(v.B)
-			}
-			b.cols[ci][i] = v
-		}
-		b.n++
-		return nil
-	})
+	n, err := cur.FillColumns(b.cap, need, b.keys, b.cols, b.copyBytes)
+	b.n = n
+	return n, err
 }
 
 // ---- filter -------------------------------------------------------------

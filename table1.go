@@ -13,7 +13,8 @@ import (
 // (§6, Table 1): two 5-dimensional-vector tables — Tscalar with the
 // components in five FLOAT columns, Tvector with them in one short
 // array blob — scanned by five queries that isolate the UDF-boundary
-// cost. EXPERIMENTS.md records paper-vs-measured numbers.
+// cost. perfbench/README.md ("Table 1: the paper against this engine")
+// records paper-vs-measured numbers.
 
 // Table1Config sizes the experiment. The paper used 357 M rows on an
 // 8-core server; the defaults here are laptop-scale with the same
