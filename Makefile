@@ -31,19 +31,16 @@ lint:
 	else \
 		echo "staticcheck not installed; skipped (CI runs it)"; fi
 
+# The perf-tracking benchmarks, as listed in scripts/bench.list (the
+# same list CI's benchmark-smoke step and bench-baseline run).
 bench:
-	go test -run='^$$' -bench='BenchmarkWALAppend|BenchmarkWALGroupCommit' -benchtime=300ms ./internal/wal
-	go test -run='^$$' -bench='BenchmarkBufferPoolContention' -benchtime=300ms ./internal/pages
-	go test -run='^$$' -bench='BenchmarkParallelAggregate|BenchmarkMixedScanDML' -benchtime=300ms ./internal/sqlmini
-	go test -run='^$$' -bench='BenchmarkReadAll1MB|BenchmarkPartialRead4kOf1MB|BenchmarkReadRunsStencil|BenchmarkReadRunsPinnedStencil' -benchtime=300ms ./internal/blob
-	$(MAKE) bench-ingest
+	./scripts/bench.sh
 
 # Ingest and partitioned-scan throughput: the COPY path vs the INSERT
 # loop (rows/s, MB/s) and a Morton box query on the partitioned layout
-# vs an unpartitioned full scan (pages/op).
+# vs an unpartitioned full scan (pages/op). A subset of the bench list.
 bench-ingest:
-	go test -run='^$$' -bench='BenchmarkBulkLoad' -benchtime=2x ./internal/engine
-	go test -run='^$$' -bench='BenchmarkPartitionedScanSpeedup' -benchtime=300ms ./internal/partition
+	./scripts/bench.sh 'BenchmarkBulkLoad|BenchmarkPartitionedScanSpeedup'
 
 # Regenerate the checked-in benchmark reference point. Run on a quiet
 # machine; the JSON records ns/op per benchmark plus the host's Go

@@ -45,10 +45,7 @@ var pinAcquire = []struct {
 	{"pages", "BufferPool", "NewPage"},
 	{"blob", "Store", "View"},
 	{"blob", "Store", "ReadRunsPinned"},
-	{"engine", "Table", "ViewBlob"},
-	{"engine", "Table", "ReadBlobRunsPinned"},
 	{"engine", "Table", "Cursor"},
-	{"engine", "Table", "CursorFrom"},
 	{"engine", "Table", "CursorRange"},
 	{"btree", "Tree", "Scan"},
 	{"btree", "Tree", "ScanFrom"},

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sqlarray/internal/core"
 	"sqlarray/internal/pages"
 )
 
@@ -151,6 +152,69 @@ func TestReadRunsPinnedMatchesReadRuns(t *testing.T) {
 	}
 	if got := bp.PinnedFrames(); got != 0 {
 		t.Errorf("PinnedFrames after failed pin = %d", got)
+	}
+}
+
+// TestReadRunsPinnedSubarrayPlan feeds both run readers the runs
+// core.SubarrayPlan produces for a corner of a stored 20x20x20 float
+// cube (shifted past the array header, as a MAX-column subarray read
+// does), on the raw chunk format and on XOR-compressed chunks: the
+// pinned and copying reads must return the same bytes, and those bytes
+// must be the in-memory subarray's payload.
+func TestReadRunsPinnedSubarrayPlan(t *testing.T) {
+	cube, err := core.New(core.Max, core.Float64, 20, 20, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cube.Len(); i++ {
+		cube.SetFloatAt(i, float64(i))
+	}
+	offset, size := []int{2, 3, 4}, []int{4, 2, 2}
+	sub, err := cube.Subarray(offset, size, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cube.Header()
+	runs, err := core.SubarrayPlan(h, offset, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobRuns := make([]Run, len(runs))
+	for i, r := range runs {
+		blobRuns[i] = Run{SrcOff: r.SrcOff + h.EncodedSize(), DstOff: r.DstOff, Len: r.Len}
+	}
+	want := sub.Payload()
+	s, bp := storeWithPool(t)
+	for _, codec := range []*Codec{nil, {Kind: CodecXOR, Width: 8}} {
+		var ref Ref
+		if codec == nil {
+			ref, err = s.Write(cube.Bytes())
+		} else {
+			ref, err = s.WriteCompressed(cube.Bytes(), *codec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied := make([]byte, len(want))
+		if err := s.ReadRuns(ref, copied, blobRuns); err != nil {
+			t.Fatal(err)
+		}
+		rv, err := s.ReadRunsPinned(ref, blobRuns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned := make([]byte, len(want))
+		rv.CopyTo(pinned)
+		rv.Release()
+		if !bytes.Equal(pinned, copied) {
+			t.Errorf("codec %v: pinned run read disagrees with copying run read", codec)
+		}
+		if !bytes.Equal(copied, want) {
+			t.Errorf("codec %v: run read disagrees with the in-memory subarray", codec)
+		}
+	}
+	if got := bp.PinnedFrames(); got != 0 {
+		t.Errorf("PinnedFrames = %d", got)
 	}
 }
 

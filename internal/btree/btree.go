@@ -172,9 +172,13 @@ func (t *Tree) Get(key int64) ([]byte, error) {
 	return append([]byte(nil), rec[8:]...), nil
 }
 
-// splitResult carries a completed child split up the recursion.
+// splitResult carries a completed child split up the recursion. retry
+// reports that the leaf split without taking the new record (no two-way
+// split had room for it); put descends again once the separator is
+// posted.
 type splitResult struct {
 	split  bool
+	retry  bool
 	sepKey int64
 	right  pages.PageID
 }
@@ -193,32 +197,43 @@ func (t *Tree) put(key int64, val []byte, overwrite bool) error {
 	if len(val) > MaxValueSize {
 		return fmt.Errorf("%w: %d bytes > %d", ErrTooBig, len(val), MaxValueSize)
 	}
-	res, err := t.insertInto(t.root, t.height, key, val, overwrite)
-	if err != nil {
-		return err
-	}
-	if res.split {
-		// Grow a new root.
-		f, err := t.bp.NewPage(pages.TypeIndex)
+	for {
+		res, err := t.insertInto(t.root, t.height, key, val, overwrite)
 		if err != nil {
 			return err
 		}
-		// Left entry uses the old root's minimum; any key <= sep works,
-		// we use math.MinInt64 semantics via the smallest stored key: the
-		// descent only compares >=, so storing the separator of the left
-		// subtree as "minimum possible" is simplest.
-		if err := f.Page.InsertAt(0, encodeInternalRec(minInt64, t.root)); err != nil {
-			t.bp.Unpin(f, true)
-			return err
+		if res.split {
+			if err := t.growRoot(res); err != nil {
+				return err
+			}
 		}
-		if err := f.Page.InsertAt(1, encodeInternalRec(res.sepKey, res.right)); err != nil {
-			t.bp.Unpin(f, true)
-			return err
+		if !res.retry {
+			return nil
 		}
-		t.root = f.Page.ID
-		t.height++
-		t.bp.Unpin(f, true)
 	}
+}
+
+// growRoot puts a new root above a split old one.
+func (t *Tree) growRoot(res splitResult) error {
+	f, err := t.bp.NewPage(pages.TypeIndex)
+	if err != nil {
+		return err
+	}
+	// Left entry uses the old root's minimum; any key <= sep works,
+	// we use math.MinInt64 semantics via the smallest stored key: the
+	// descent only compares >=, so storing the separator of the left
+	// subtree as "minimum possible" is simplest.
+	if err := f.Page.InsertAt(0, encodeInternalRec(minInt64, t.root)); err != nil {
+		t.bp.Unpin(f, true)
+		return err
+	}
+	if err := f.Page.InsertAt(1, encodeInternalRec(res.sepKey, res.right)); err != nil {
+		t.bp.Unpin(f, true)
+		return err
+	}
+	t.root = f.Page.ID
+	t.height++
+	t.bp.Unpin(f, true)
 	return nil
 }
 
@@ -260,13 +275,13 @@ func (t *Tree) insertInto(id pages.PageID, level int, key int64, val []byte, ove
 	entry := encodeInternalRec(res.sepKey, res.right)
 	if err := f.Page.InsertAt(pos, entry); err == nil {
 		t.bp.Unpin(f, true)
-		return splitResult{}, nil
+		return splitResult{retry: res.retry}, nil
 	} else if !errors.Is(err, pages.ErrPageFull) {
 		t.bp.Unpin(f, false)
 		return splitResult{}, err
 	}
 	// Split this internal node.
-	out, err := t.splitNode(f, pages.TypeIndex)
+	out, err := t.splitNode(f, pages.TypeIndex, f.Page.NumSlots()/2)
 	if err != nil {
 		t.bp.Unpin(f, true)
 		return splitResult{}, err
@@ -298,6 +313,7 @@ func (t *Tree) insertInto(id pages.PageID, level int, key int64, val []byte, ove
 		}
 	}
 	t.bp.Unpin(f, true)
+	out.retry = res.retry
 	return out, nil
 }
 
@@ -337,49 +353,121 @@ func (t *Tree) insertLeaf(f *pages.Frame, key int64, val []byte, overwrite bool)
 		t.count++
 		return splitResult{}, nil
 	}
-	out, err := t.splitNode(f, pages.TypeData)
+	s, err := leafSplitPoint(&f.Page, pos, len(rec))
 	if err != nil {
 		return splitResult{}, err
 	}
-	// Insert into the proper half.
-	if key >= out.sepKey {
+	if s < 0 {
+		// No two-way split has room for the record (a near-page-sized
+		// record between two well-filled runs): split between its
+		// neighbours without it, and let put descend again to a leaf
+		// that now has room on one side.
+		out, err := t.splitNode(f, pages.TypeData, pos)
+		out.retry = true
+		return out, err
+	}
+	// Sequence elements [s, n] go right; the record is element pos.
+	right, at := pos >= s, s
+	if !right {
+		at = s - 1
+	}
+	out, err := t.splitNode(f, pages.TypeData, at)
+	if err != nil {
+		return splitResult{}, err
+	}
+	if right {
 		rf, err := t.bp.FetchForWrite(out.right)
 		if err != nil {
 			return splitResult{}, err
 		}
-		pos, _ := searchSlot(&rf.Page, key)
-		err = rf.Page.InsertAt(pos, rec)
+		err = rf.Page.InsertAt(pos-at, rec)
 		t.bp.Unpin(rf, true)
 		if err != nil {
 			return splitResult{}, err
 		}
-	} else {
-		pos, _ := searchSlot(&f.Page, key)
-		if err := f.Page.InsertAt(pos, rec); err != nil {
-			return splitResult{}, err
+		if pos == at { // the new record heads the right page
+			out.sepKey = key
 		}
+	} else if err := f.Page.InsertAt(pos, rec); err != nil {
+		return splitResult{}, err
 	}
 	t.count++
 	return out, nil
 }
 
-// splitNode moves the upper half of f's records into a fresh page and
-// returns the separator. For leaves it maintains the sibling chain.
-func (t *Tree) splitNode(f *pages.Frame, typ pages.PageType) (splitResult, error) {
+// slotCost is what one record costs a page beyond its bytes: its
+// slot-directory entry.
+const slotCost = pages.PageSize - pages.HeaderSize - pages.MaxRecordSize
+
+// leafSplitPoint chooses where a full leaf splits to admit a record of
+// recLen bytes at slot pos. Think of the leaf's n records with the new
+// one in place at pos as one sequence of n+1; it returns the cut s
+// that keeps elements [0, s) on the left page, or -1 when no cut leaves
+// both sides within a page. The count midpoint (existing records
+// [n/2, n) move right) is kept whenever the record fits the half it
+// falls in, so leaves of equal-size rows split exactly as they always
+// have; otherwise the cut with room on both sides nearest the byte
+// midpoint wins.
+func leafSplitPoint(p *pages.Page, pos, recLen int) (int, error) {
+	n := p.NumSlots()
+	// cum[j] is the page space the first j sequence elements take.
+	cum := make([]int, n+2)
+	for j := 0; j <= n; j++ {
+		size := recLen
+		if j != pos {
+			i := j
+			if j > pos {
+				i--
+			}
+			rec, err := p.Record(i)
+			if err != nil {
+				return 0, err
+			}
+			size = len(rec)
+		}
+		cum[j+1] = cum[j] + size + slotCost
+	}
+	total := cum[n+1]
+	fits := func(s int) bool {
+		const room = pages.PageSize - pages.HeaderSize
+		return cum[s] <= room && total-cum[s] <= room
+	}
+	s := n / 2
+	if pos <= s {
+		s++ // the record stays left of the moved half
+	}
+	if fits(s) {
+		return s, nil
+	}
+	best := -1
+	for s := 1; s <= n; s++ {
+		if fits(s) && (best < 0 || max(cum[s], total-cum[s]) < max(cum[best], total-cum[best])) {
+			best = s
+		}
+	}
+	return best, nil
+}
+
+// splitNode moves f's records [at, n) into a fresh page and returns
+// the separator, the first moved key (a leaf split that moves nothing
+// leaves it to the caller). For leaves it maintains the sibling chain.
+func (t *Tree) splitNode(f *pages.Frame, typ pages.PageType, at int) (splitResult, error) {
 	rf, err := t.bp.NewPage(typ)
 	if err != nil {
 		return splitResult{}, err
 	}
 	n := f.Page.NumSlots()
-	half := n / 2
-	sepRec, err := f.Page.Record(half)
-	if err != nil {
-		t.bp.Unpin(rf, true)
-		return splitResult{}, err
+	var sepKey int64
+	if at < n {
+		sepRec, err := f.Page.Record(at)
+		if err != nil {
+			t.bp.Unpin(rf, true)
+			return splitResult{}, err
+		}
+		sepKey = leafKey(sepRec)
 	}
-	sepKey := leafKey(sepRec)
-	// Copy upper records to the right page.
-	for i := half; i < n; i++ {
+	// Copy the records from at on to the right page.
+	for i := at; i < n; i++ {
 		rec, err := f.Page.Record(i)
 		if err != nil {
 			t.bp.Unpin(rf, true)
@@ -390,7 +478,7 @@ func (t *Tree) splitNode(f *pages.Frame, typ pages.PageType) (splitResult, error
 			return splitResult{}, err
 		}
 	}
-	for i := n - 1; i >= half; i-- {
+	for i := n - 1; i >= at; i-- {
 		if err := f.Page.RemoveAt(i); err != nil {
 			t.bp.Unpin(rf, true)
 			return splitResult{}, err

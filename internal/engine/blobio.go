@@ -125,79 +125,10 @@ func (t *Table) resolveMax(bs *blob.Store, refBytes []byte, pins *BlobPins) ([]b
 	return bs.ReadAll(ref)
 }
 
-// ViewBlob pins a MAX column value's chunk pages and returns the
-// zero-copy view. The caller must Release it.
-func (t *Table) ViewBlob(refBytes []byte) (*blob.View, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return t.db.blobs.View(ref)
-}
-
-// ViewBlobAt is ViewBlob through the snapshot's blob view.
-func (t *Table) ViewBlobAt(s *Snapshot, refBytes []byte) (*blob.View, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return s.blobs.View(ref)
-}
-
-// ReadBlobRuns performs a batch of partial reads of a MAX column blob,
-// described as byte runs of the stored blob (header offset already
-// applied), sharing one directory walk. This is how core.SubarrayPlan
-// runs reach the blob store without materializing the whole array.
-func (t *Table) ReadBlobRuns(refBytes []byte, dst []byte, runs []blob.Run) error {
-	return t.readBlobRuns(t.db.blobs, refBytes, dst, runs)
-}
-
-// ReadBlobRunsAt is ReadBlobRuns through the snapshot's blob view.
-func (t *Table) ReadBlobRunsAt(s *Snapshot, refBytes []byte, dst []byte, runs []blob.Run) error {
-	return t.readBlobRuns(s.blobs, refBytes, dst, runs)
-}
-
-func (t *Table) readBlobRuns(bs *blob.Store, refBytes []byte, dst []byte, runs []blob.Run) error {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return err
-	}
-	return bs.ReadRuns(ref, dst, runs)
-}
-
-// ReadBlobRunsPinned is the zero-copy variant of ReadBlobRuns: only the
-// chunk pages the runs touch are pinned, and the run bytes are visited
-// in place. The caller must Release the view.
-func (t *Table) ReadBlobRunsPinned(refBytes []byte, runs []blob.Run) (*blob.RunsView, error) {
-	return t.readBlobRunsPinned(t.db.blobs, refBytes, runs)
-}
-
-// ReadBlobRunsPinnedAt is ReadBlobRunsPinned through the snapshot's
-// blob view.
-func (t *Table) ReadBlobRunsPinnedAt(s *Snapshot, refBytes []byte, runs []blob.Run) (*blob.RunsView, error) {
-	return t.readBlobRunsPinned(s.blobs, refBytes, runs)
-}
-
-func (t *Table) readBlobRunsPinned(bs *blob.Store, refBytes []byte, runs []blob.Run) (*blob.RunsView, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return nil, err
-	}
-	return bs.ReadRunsPinned(ref, runs)
-}
-
-// BlobHeader decodes just the array header of a stored MAX array,
-// touching only the blob's first chunk page (one short partial read for
-// headers up to rank 6; a second for higher-rank dimension lists).
-func (t *Table) BlobHeader(refBytes []byte) (core.Header, int, error) {
-	ref, err := blob.DecodeRef(refBytes)
-	if err != nil {
-		return core.Header{}, 0, err
-	}
-	return t.blobHeader(t.db.blobs, ref)
-}
-
-// BlobHeaderAt is BlobHeader through the snapshot's blob view.
+// BlobHeaderAt decodes just the array header of a stored MAX array
+// through the snapshot's blob view, touching only the blob's first
+// chunk page (one short partial read for headers up to rank 6; a second
+// for higher-rank dimension lists).
 func (t *Table) BlobHeaderAt(s *Snapshot, refBytes []byte) (core.Header, int, error) {
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
@@ -206,7 +137,7 @@ func (t *Table) BlobHeaderAt(s *Snapshot, refBytes []byte) (core.Header, int, er
 	return t.blobHeader(s.blobs, ref)
 }
 
-// blobHeader is BlobHeader on an already-decoded ref, reading through
+// blobHeader is BlobHeaderAt on an already-decoded ref, reading through
 // the given store view (live or snapshot).
 func (t *Table) blobHeader(bs *blob.Store, ref blob.Ref) (core.Header, int, error) {
 	if ref.IsNull() {
@@ -250,15 +181,7 @@ func (t *Table) blobHeader(bs *blob.Store, ref blob.Ref) (core.Header, int, erro
 // size follow core.Array.Subarray; collapse drops unit dimensions. The
 // result is a fresh, caller-owned array.
 func (t *Table) BlobSubarray(refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
-	return t.blobSubarray(t.db.blobs, refBytes, offset, size, collapse)
-}
-
-// BlobSubarrayAt is BlobSubarray through the snapshot's blob view.
-func (t *Table) BlobSubarrayAt(s *Snapshot, refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
-	return t.blobSubarray(s.blobs, refBytes, offset, size, collapse)
-}
-
-func (t *Table) blobSubarray(bs *blob.Store, refBytes []byte, offset, size []int, collapse bool) (*core.Array, error) {
+	bs := t.db.blobs
 	ref, err := blob.DecodeRef(refBytes)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"sqlarray/internal/blob"
 	"sqlarray/internal/core"
 )
 
@@ -54,8 +53,10 @@ func maxRef(t *testing.T, tbl *Table, key int64) []byte {
 func TestBlobHeaderReadsPrefixOnly(t *testing.T) {
 	db, tbl, cube, _ := maxTable(t)
 	ref := maxRef(t, tbl, 1)
+	snap := db.Snapshot()
+	defer snap.Release()
 	db.Blobs().ResetStats()
-	h, hs, err := tbl.BlobHeader(ref)
+	h, hs, err := tbl.BlobHeaderAt(snap, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestBlobHeaderReadsPrefixOnly(t *testing.T) {
 	// The cube is 8000 floats = ~64 kB over 8 chunks; the header read
 	// must touch only the first chunk (twice: prefix, then full header).
 	if got := db.Blobs().Stats().ChunkReads; got > 2 {
-		t.Errorf("BlobHeader touched %d chunks, want <= 2", got)
+		t.Errorf("BlobHeaderAt touched %d chunks, want <= 2", got)
 	}
 }
 
@@ -173,39 +174,5 @@ func TestResolveMaxZeroCopyAndFallback(t *testing.T) {
 	}
 	if err := db.DropCleanBuffers(); err != nil {
 		t.Errorf("DropCleanBuffers after Release: %v", err)
-	}
-}
-
-func TestReadBlobRunsPinnedThroughTable(t *testing.T) {
-	db, tbl, cube, _ := maxTable(t)
-	ref := maxRef(t, tbl, 1)
-	h := cube.Header()
-	hs := h.EncodedSize()
-	runs, err := core.SubarrayPlan(h, []int{2, 3, 4}, []int{4, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobRuns := make([]blob.Run, len(runs))
-	total := 0
-	for i, r := range runs {
-		blobRuns[i] = blob.Run{SrcOff: r.SrcOff + hs, DstOff: r.DstOff, Len: r.Len}
-		total += r.Len
-	}
-	want := make([]byte, total)
-	if err := tbl.ReadBlobRuns(ref, want, blobRuns); err != nil {
-		t.Fatal(err)
-	}
-	rv, err := tbl.ReadBlobRunsPinned(ref, blobRuns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, total)
-	rv.CopyTo(got)
-	rv.Release()
-	if !bytes.Equal(got, want) {
-		t.Error("pinned run read disagrees with copying run read")
-	}
-	if got := db.Pool().PinnedFrames(); got != 0 {
-		t.Errorf("PinnedFrames = %d", got)
 	}
 }

@@ -45,11 +45,6 @@ func (t *Table) Cursor() (*Cursor, error) {
 	return t.CursorRange(math.MinInt64, math.MaxInt64)
 }
 
-// CursorFrom opens a streaming scan at the first key >= start.
-func (t *Table) CursorFrom(start int64) (*Cursor, error) {
-	return t.CursorRange(start, math.MaxInt64)
-}
-
 // CursorRange opens a streaming scan over keys in [lo, hi], inclusive,
 // on a snapshot acquired for the cursor's lifetime. The underlying
 // iterator stops (and unpins) as soon as it passes hi, so a key-range

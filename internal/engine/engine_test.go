@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -250,6 +251,57 @@ func TestDBCatalog(t *testing.T) {
 	}
 }
 
+// TestTableInsertMixedRowSizes inserts rows in random key order whose
+// inline VARBINARY column mixes short values with 3000 B ones. Every
+// insert must succeed — a leaf split leaves room for the incoming row
+// whichever half it lands in — and Get and Scan must see every row.
+func TestTableInsertMixedRowSizes(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewMemDB()
+		tbl, err := db.CreateTable("t", testSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64][]byte{}
+		for i := 0; i < 300; i++ {
+			k := rng.Int63n(1 << 20)
+			if _, dup := want[k]; dup {
+				continue
+			}
+			v := make([]byte, 8+rng.Intn(65))
+			if rng.Intn(3) == 0 {
+				v = make([]byte, 3000)
+			}
+			rng.Read(v)
+			if err := tbl.Insert([]Value{IntValue(k), FloatValue(1), BinaryValue(v), Null}); err != nil {
+				t.Fatalf("seed %d: insert %d (%d B): %v", seed, i, len(v), err)
+			}
+			want[k] = v
+		}
+		for k, v := range want {
+			row, err := tbl.Get(k)
+			if err != nil {
+				t.Fatalf("seed %d: Get(%d): %v", seed, k, err)
+			}
+			if !bytes.Equal(row[2].B, v) {
+				t.Fatalf("seed %d: Get(%d): value mismatch", seed, k)
+			}
+		}
+		n := 0
+		err = tbl.Scan(func(key int64, rv *RowView) (bool, error) {
+			if _, ok := want[key]; !ok {
+				return false, errors.New("scan returned a key never inserted")
+			}
+			n++
+			return true, nil
+		})
+		if err != nil || n != len(want) || tbl.Rows() != int64(len(want)) {
+			t.Fatalf("seed %d: scan saw %d rows (%v), Rows = %d, want %d", seed, n, err, tbl.Rows(), len(want))
+		}
+	}
+}
+
 func TestTableStats(t *testing.T) {
 	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", testSchema(t))
@@ -484,12 +536,12 @@ func TestCursorRangeAndEarlyClose(t *testing.T) {
 	}
 	// Early Close (the TOP-n exit) releases all pins; the cache can be
 	// dropped afterwards.
-	cur, err = tbl.CursorFrom(2500)
+	cur, err = tbl.CursorRange(2500, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cur.Next() || cur.Key() != 2500 {
-		t.Fatalf("CursorFrom(2500) first key = %d", cur.Key())
+		t.Fatalf("CursorRange(2500, MaxInt64) first key = %d", cur.Key())
 	}
 	cur.Close()
 	cur.Close() // idempotent

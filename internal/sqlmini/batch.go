@@ -2,14 +2,16 @@ package sqlmini
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"sqlarray/internal/engine"
 )
 
-// This file implements the batch-at-a-time executor. It is the default
-// execution mode; the row-at-a-time operators in operators.go remain
-// available via ExecOptions.RowPipeline and as the comparison baseline.
+// This file implements the executor: a tree of batch-at-a-time operators
+// streaming chunks of rows from the clustered index up through filters,
+// aggregation, projection and limits, drained one row at a time into
+// Rows by batchDrainOp.
 //
 // Operators exchange a *Batch — a resizable column-major chunk of up to
 // ExecOptions.BatchSize rows — through
@@ -149,10 +151,29 @@ func (b *Batch) compact(sel []int) int {
 	return b.n
 }
 
-// batchOperator is the batch-at-a-time executor protocol. nextBatch fills
-// b with up to b.cap rows and returns how many were produced; 0 with a
-// nil error means end of stream. open and close follow the row operator
-// contract (close must be idempotent).
+// pollCancel is the executor's cancellation check: every operator loop
+// that advances a row or batch stream calls it once per iteration (the
+// ctxloop analyzer enforces this). A nil ctx — the default ExecOptions —
+// costs one branch; a canceled ctx surfaces ctx.Err() through the normal
+// error path, so the pipeline's close still releases every pin.
+func pollCancel(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// batchOperator is the executor protocol:
+//
+//   - open acquires resources (cursors); it is called once, top-down.
+//   - nextBatch fills b with up to b.cap rows and returns how many were
+//     produced; 0 with a nil error means end of stream.
+//   - close releases resources; it must be idempotent, because
+//     batchLimitOp and batchAggOp close their child early to release page
+//     pins, and the pipeline is closed again as a whole.
+//
+// To add an operator (ORDER BY, GROUP BY, ...): implement the interface,
+// place it in the tree inside buildPipeline, and nothing else changes.
 type batchOperator interface {
 	open() error
 	nextBatch(b *Batch) (int, error)
@@ -332,10 +353,95 @@ func (a *batchAggOp) close() error { return a.child.close() }
 
 // ---- parallel aggregate scan -------------------------------------------
 
-// batchParallelAggOp is the batch counterpart of parallelAggOp: the key
-// space is partitioned into contiguous ranges, each worker scans its
-// range batch-at-a-time into private accumulators (filling, filtering and
-// accumulating whole batches), and the partials merge in partition order.
+// workerState is one worker's private compiled state: its residual
+// predicate and its accumulator set (index-aligned with the main plan's
+// accumulators, because both come from compiling the same AST).
+type workerState struct {
+	pred compiled
+	accs []*accumulator
+}
+
+// runPartitions is the fan-out/merge scaffolding of the parallel
+// aggregate scan: it partitions [lo, hi] across up to workers
+// goroutines, gives each a freshly compiled workerState, runs scan over
+// each partition with a cooperative stop flag, returns the first error
+// in partition order, and otherwise merges the partial accumulators
+// into accs in partition order (keeping float results deterministic for
+// a fixed worker count). A non-nil qctx makes the fan-out cancelable: a
+// watcher raises the stop flag when the context is done, the workers
+// drain out through their per-batch stop checks, and ctx.Err() is
+// returned instead of the partial merge.
+func runPartitions(qctx context.Context, lo, hi int64, workers int, newWorker func() (workerState, error),
+	scan func(st *workerState, lo, hi int64, stop *atomic.Bool) error,
+	accs []*accumulator) error {
+	if err := pollCancel(qctx); err != nil {
+		return err
+	}
+	spans := partitionSpans(lo, hi, workers)
+	states := make([]workerState, len(spans))
+	for i := range states {
+		st, err := newWorker()
+		if err != nil {
+			return err
+		}
+		states[i] = st
+	}
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		errs = make([]error, len(spans))
+	)
+	if qctx != nil {
+		watchDone := make(chan struct{})
+		defer close(watchDone)
+		go func() {
+			select {
+			case <-qctx.Done():
+				stop.Store(true)
+			case <-watchDone:
+			}
+		}()
+	}
+	for i, span := range spans {
+		wg.Add(1)
+		go func(i int, lo, hi int64) {
+			defer wg.Done()
+			errs[i] = scan(&states[i], lo, hi, &stop)
+		}(i, span[0], span[1])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if err := pollCancel(qctx); err != nil {
+		return err
+	}
+	for _, st := range states {
+		for i, acc := range st.accs {
+			accs[i].merge(acc)
+		}
+	}
+	return nil
+}
+
+// batchParallelAggOp fuses scan + filter + aggregate across goroutines:
+// the key space [lo, hi] is partitioned into contiguous ranges, each
+// worker scans its range batch-at-a-time into private accumulators
+// (filling, filtering and accumulating whole batches), and the partials
+// merge in partition order. Compiled expressions are stateful (UDF
+// argument buffers, batch scratch vectors), so every worker compiles
+// its own copies via newWorker.
+//
+// Floating-point SUM/AVG associate differently than a serial scan when
+// partials are merged; results are deterministic for a fixed worker
+// count.
+//
+// Partitioning is by key value, which balances well for the dense
+// sequential ids this engine's workloads use but degenerates under
+// heavily skewed key distributions (one worker owns the dense region);
+// partitioning by leaf pages would fix that and is a planned follow-up.
 type batchParallelAggOp struct {
 	tbl       *engine.Table
 	snap      *engine.Snapshot // shared read view; safe for concurrent workers
@@ -545,12 +651,11 @@ func (l *batchLimitOp) nextBatch(b *Batch) (int, error) {
 
 func (l *batchLimitOp) close() error { return l.child.close() }
 
-// ---- row adapter ---------------------------------------------------------
+// ---- drain ---------------------------------------------------------------
 
-// batchDrainOp adapts a batch pipeline to the row-at-a-time operator
-// interface, so Rows (and every existing caller of the streaming API)
-// is oblivious to the execution mode: it drains one batch at a time and
-// yields the projected rows individually.
+// batchDrainOp is the root of every pipeline: it drains one batch at a
+// time from the operator tree and hands Rows the projected rows
+// individually.
 type batchDrainOp struct {
 	root      batchOperator
 	qctx      context.Context
@@ -558,12 +663,13 @@ type batchDrainOp struct {
 	b         *Batch
 	i, n      int
 	done      bool
-	ctx       rowCtx
 }
 
 func (d *batchDrainOp) open() error { return d.root.open() }
 
-func (d *batchDrainOp) next() (*rowCtx, error) {
+// next returns the next projected row, or nil at end of stream. The row
+// is carved from a slab owned by no later batch, so it is safe to retain.
+func (d *batchDrainOp) next() ([]engine.Value, error) {
 	for d.i >= d.n {
 		if d.done {
 			return nil, nil
@@ -582,9 +688,9 @@ func (d *batchDrainOp) next() (*rowCtx, error) {
 		}
 		d.i, d.n = 0, n
 	}
-	d.ctx.out = d.b.out[d.i]
+	row := d.b.out[d.i]
 	d.i++
-	return &d.ctx, nil
+	return row, nil
 }
 
 func (d *batchDrainOp) close() error {

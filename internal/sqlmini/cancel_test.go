@@ -15,20 +15,18 @@ func TestCancelBeforeFirstRow(t *testing.T) {
 	db := testDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rowPipe := range []bool{false, true} {
-		rows, err := QueryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx, RowPipeline: rowPipe})
-		if err != nil {
-			t.Fatalf("RowPipeline=%v: open: %v", rowPipe, err)
-		}
-		if rows.Next() {
-			t.Errorf("RowPipeline=%v: Next yielded a row under a canceled ctx", rowPipe)
-		}
-		if !errors.Is(rows.Err(), context.Canceled) {
-			t.Errorf("RowPipeline=%v: Err = %v, want context.Canceled", rowPipe, rows.Err())
-		}
-		if err := rows.Close(); err != nil {
-			t.Errorf("RowPipeline=%v: Close: %v", rowPipe, err)
-		}
+	rows, err := QueryWith(db, "SELECT id, v1 FROM Tscalar", ExecOptions{Ctx: ctx})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if rows.Next() {
+		t.Errorf("Next yielded a row under a canceled ctx")
+	}
+	if !errors.Is(rows.Err(), context.Canceled) {
+		t.Errorf("Err = %v, want context.Canceled", rows.Err())
+	}
+	if err := rows.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 	if got := db.Pool().PinnedFrames(); got != 0 {
 		t.Errorf("PinnedFrames after canceled queries = %d", got)
@@ -71,10 +69,8 @@ func TestCancelAggregates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []ExecOptions{
-		{Ctx: ctx},                    // serial batch aggregate
-		{Ctx: ctx, RowPipeline: true}, // serial row aggregate
-		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1},                    // parallel batch fan-out
-		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1, RowPipeline: true}, // parallel row fan-out
+		{Ctx: ctx}, // serial aggregate
+		{Ctx: ctx, Parallelism: 2, ParallelThreshold: 1}, // parallel fan-out
 	}
 	for i, opts := range cases {
 		_, err := RunWith(db, "SELECT SUM(v1), COUNT(*) FROM Tscalar", opts)

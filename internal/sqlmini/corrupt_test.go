@@ -53,7 +53,6 @@ func TestCountStarOverCorruptLeafSlotFails(t *testing.T) {
 	for _, opts := range []ExecOptions{
 		{},
 		{Parallelism: 2, ParallelThreshold: 1},
-		{RowPipeline: true},
 	} {
 		res, err := RunWith(db, "SELECT COUNT(*) FROM t", opts)
 		if !errors.Is(err, pages.ErrBadPage) {

@@ -157,7 +157,7 @@ func StreamWith(db *engine.DB, stmt *SelectStmt, opts ExecOptions) (*Rows, error
 // remains valid after further Next calls and after Close.
 type Rows struct {
 	columns  []string
-	root     operator
+	root     *batchDrainOp
 	snap     *engine.Snapshot // released on Close when the query owns it
 	cur      []engine.Value
 	err      error
@@ -186,15 +186,15 @@ func (r *Rows) Next() bool {
 	if r.err != nil || r.closed {
 		return false
 	}
-	ctx, err := r.root.next()
+	row, err := r.root.next()
 	if err != nil {
 		r.err = err
 		return false
 	}
-	if ctx == nil {
+	if row == nil {
 		return false
 	}
-	r.cur = ctx.out
+	r.cur = row
 	return true
 }
 
@@ -250,19 +250,17 @@ func (r *Rows) finalize() {
 
 // ---- plan-time compilation -------------------------------------------
 
-// rowCtx carries per-row state through the operator pipeline: the
-// current key and row view below the projection, aggregate results above
-// the aggregate operator, and the materialized output row once
-// projected. In the batch pipeline a row has no RowView — row-wise
-// evaluation over batch rows binds (batch, idx) instead and column
-// references read the decoded batch column.
+// rowCtx carries one row's state into row-wise expression evaluation.
+// DML scans bind the current key and row view of a cursor; row-wise
+// evaluation over a batch (evalRowwise) binds (batch, idx) instead and
+// column references read the decoded batch column; aggregate results
+// ride in aggVals for the projection above an aggregate.
 type rowCtx struct {
 	key     int64
 	row     *engine.RowView
 	batch   *Batch         // batch-backed row when row == nil
 	idx     int            // row index within batch
-	aggVals []engine.Value // filled by the aggregate operators
-	out     []engine.Value // filled by projectOp; safe to retain
+	aggVals []engine.Value // aggregate results, for cAggRef
 }
 
 // compiled is an executable expression. eval produces one value for the
@@ -288,7 +286,7 @@ func ensureVec(vec *[]engine.Value, n int) []engine.Value {
 }
 
 // evalRowwise is the generic batch fallback: evaluate c once per batch
-// row through the row-at-a-time path, preserving per-row semantics.
+// row through eval, preserving per-row semantics.
 func evalRowwise(c compiled, b *Batch, n int, scratch *[]engine.Value) ([]engine.Value, error) {
 	vec := ensureVec(scratch, n)
 	ctx := rowCtx{batch: b, aggVals: b.aggVals}
@@ -326,12 +324,12 @@ type cCol struct{ idx int }
 // cMaxCol reads a VARBINARY(MAX) column. On the row the column holds
 // only a 12-byte blob ref; this node materializes it into the array
 // payload so UDFs, comparisons and projections over MAX columns see the
-// same bytes short VARBINARY columns yield. On the batch path the
-// resolve is zero-copy for single-chunk blobs: the returned bytes alias
-// a pinned chunk page owned by the batch's pin set, released when the
-// batch is recycled or the pipeline closes. The row pipeline (and the
-// reference executor built on it) uses the copying read — there is no
-// batch to own a pin there.
+// same bytes short VARBINARY columns yield. Over a batch the resolve is
+// zero-copy for single-chunk blobs: the returned bytes alias a pinned
+// chunk page owned by the batch's pin set, released when the batch is
+// recycled or the pipeline closes. A row bound to a cursor (DML's
+// scanMatching, and the reference executor in the tests) uses the
+// copying read — there is no batch to own a pin there.
 type cMaxCol struct {
 	tbl  *engine.Table
 	snap *engine.Snapshot // the query's read view; nil falls back to live pages
@@ -474,8 +472,8 @@ type cBinary struct {
 
 // evalBatch vectorizes arithmetic and comparison over both operand
 // vectors. AND/OR fall back to the row-wise loop so short-circuit
-// semantics (which UDF calls happen, which errors surface) are identical
-// to the row pipeline.
+// semantics (which UDF calls happen, which errors surface) are those of
+// per-row evaluation, as in eval.
 func (c *cBinary) evalBatch(b *Batch, n int) ([]engine.Value, error) {
 	switch c.op {
 	case "AND", "OR":
@@ -758,8 +756,8 @@ func compare(op string, l, r engine.Value) (engine.Value, error) {
 	case l.Kind == engine.ColInt64 && r.Kind == engine.ColInt64:
 		// BIGINT pairs compare exactly (as in T-SQL); going through
 		// float64 would collapse values past 2^53. This is also what
-		// keeps the row and batch pipelines identical — the batch
-		// executor's int fast path is exact.
+		// keeps row-wise eval and the vectorized evalBatch identical —
+		// the batch int fast path is exact.
 		return boolVal(cmpInt(op, l.I, r.I)), nil
 	default:
 		lf, err := l.AsFloat()

@@ -63,27 +63,6 @@ func TestExplainGoldenPlans(t *testing.T) {
 	}
 }
 
-// TestExplainRowPipeline pins the row-at-a-time tree: same shape, row
-// pipeline annotation.
-func TestExplainRowPipeline(t *testing.T) {
-	db := testDB(t)
-	stmt, err := Parse("SELECT id FROM Tscalar WHERE id >= 10 AND v1 > 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Explain(db, stmt, ExecOptions{RowPipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "Project [id]\n" +
-		"   (pipeline=row)\n" +
-		"-> Filter (v1 > 1)\n" +
-		"   -> Scan on Tscalar (range scan keys [10, +inf])"
-	if got := plan.Render(); got != want {
-		t.Errorf("row pipeline plan:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 // TestExplainScatterGolden pins the Gather tree with partition pruning:
 // id <= 250 prunes the fourth member of the 4-way split.
 func TestExplainScatterGolden(t *testing.T) {

@@ -109,17 +109,16 @@ var maxGoldenQueries = []string{
 }
 
 // TestMaxColumnGoldenEquivalence asserts that MAX-column queries return
-// identical results across the reference executor and the row, batch
-// and tiny-batch pipelines — the batch path resolving refs zero-copy
-// off pinned chunk pages, the others copying — and that no strategy
-// leaks a pin.
+// identical results across the reference executor (copying each ref's
+// payload) and the batch, tiny-batch and parallel pipelines (resolving
+// refs zero-copy off pinned chunk pages), and that no strategy leaks a
+// pin.
 func TestMaxColumnGoldenEquivalence(t *testing.T) {
 	db := maxDB(t)
 	modes := []struct {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 		{"batch3", ExecOptions{BatchSize: 3}},
 		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},
@@ -159,7 +158,6 @@ func TestMaxColumnCompressedGoldenEquivalence(t *testing.T) {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 		{"batch3", ExecOptions{BatchSize: 3}},
 		{"parallel", ExecOptions{Parallelism: 4, ParallelThreshold: 1}},
@@ -224,6 +222,42 @@ func TestMaxColumnEarlyCloseReleasesPins(t *testing.T) {
 	}
 	if err := db.DropCleanBuffers(); err != nil {
 		t.Errorf("DropCleanBuffers: %v", err)
+	}
+}
+
+// TestMaxColumnDMLReadsThroughSnapshot covers MAX-column derefs on a row
+// bound to a cursor: UPDATE and DELETE evaluate their WHERE (and SET)
+// over the statement's read snapshot, resolving each blob ref through
+// it with the copying read. Seven rows hold multi-chunk arrays whose
+// sum passes 100; the single-chunk 5-vectors and the NULLs never do.
+func TestMaxColumnDMLReadsThroughSnapshot(t *testing.T) {
+	db := maxDB(t)
+	for _, c := range []struct {
+		sql   string
+		count float64 // rows left in cubes afterwards
+	}{
+		{"UPDATE cubes SET w = arr.Sum(a) WHERE arr.Sum(a) > 100", 40},
+		{"DELETE FROM cubes WHERE arr.Sum(a) > 100", 33},
+	} {
+		res, err := Execute(db, c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.RowsAffected != 7 {
+			t.Errorf("%s: %d rows affected, want 7", c.sql, res.RowsAffected)
+		}
+		if got := db.Pool().PinnedFrames(); got != 0 {
+			t.Errorf("%s: PinnedFrames = %d, want 0", c.sql, got)
+		}
+		if got := scalarFloat(t, db, "SELECT COUNT(*) FROM cubes"); got != c.count {
+			t.Errorf("%s: COUNT(*) = %g afterwards, want %g", c.sql, got, c.count)
+		}
+		if c.count == 40 {
+			// The SET read the same payloads the WHERE did.
+			if got := scalarFloat(t, db, "SELECT COUNT(*) FROM cubes WHERE w = arr.Sum(a)"); got != 7 {
+				t.Errorf("%s: %g rows hold w = arr.Sum(a), want 7", c.sql, got)
+			}
+		}
 	}
 }
 

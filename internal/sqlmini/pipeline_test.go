@@ -204,18 +204,17 @@ var goldenQueries = []string{
 	"SELECT COUNT(*) FROM Tscalar WHERE id <> 9007199254740993",
 }
 
-// TestGoldenEquivalence asserts that every execution strategy — the row
-// pipeline, the batch pipeline at the default and at a tiny batch size
-// (exercising batch-boundary handling), materialized and streamed —
-// matches the reference full-scan executor on every covered query shape,
-// and that no strategy leaks a buffer-pool pin after Close.
+// TestGoldenEquivalence asserts that every execution strategy — the
+// pipeline at the default and at a tiny batch size (exercising
+// batch-boundary handling), materialized and streamed — matches the
+// reference full-scan executor on every covered query shape, and that
+// no strategy leaks a buffer-pool pin after Close.
 func TestGoldenEquivalence(t *testing.T) {
 	db := testDB(t)
 	modes := []struct {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 		{"batch3", ExecOptions{BatchSize: 3}},
 	}
@@ -256,8 +255,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestRowsCloseSemantics pins the Rows contract for both pipelines:
-// Close mid-stream (with leaf pages still pinned) releases every pin,
+// TestRowsCloseSemantics pins the Rows contract: Close mid-stream (with leaf pages still pinned) releases every pin,
 // Close is idempotent, and Next after Close reports false instead of
 // touching the torn-down pipeline.
 func TestRowsCloseSemantics(t *testing.T) {
@@ -266,7 +264,6 @@ func TestRowsCloseSemantics(t *testing.T) {
 		name string
 		opts ExecOptions
 	}{
-		{"row", ExecOptions{RowPipeline: true}},
 		{"batch", ExecOptions{}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
@@ -486,7 +483,6 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 	}
 	serial := ExecOptions{Parallelism: 1}
 	parallel := ExecOptions{Parallelism: 4, ParallelThreshold: 1}
-	rowParallel := ExecOptions{Parallelism: 4, ParallelThreshold: 1, RowPipeline: true}
 	for _, q := range queries {
 		want, err := RunWith(db, q, serial)
 		if err != nil {
@@ -498,13 +494,6 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		}
 		if diff := resultEq(want, got); diff != "" {
 			t.Errorf("parallel %q: %s", q, diff)
-		}
-		rowGot, err := RunWith(db, q, rowParallel)
-		if err != nil {
-			t.Fatalf("row parallel %q: %v", q, err)
-		}
-		if diff := resultEq(want, rowGot); diff != "" {
-			t.Errorf("row parallel %q: %s", q, diff)
 		}
 		ref, err := referenceRun(db, q)
 		if err != nil {

@@ -43,10 +43,6 @@ type ExecOptions struct {
 	// BatchSize is the row capacity of the chunks the batch executor
 	// moves between operators. 0 means the default (1024).
 	BatchSize int
-	// RowPipeline forces the legacy row-at-a-time operator pipeline
-	// instead of the batch executor. Kept for comparison benchmarks and
-	// the golden-equivalence suite; results are identical either way.
-	RowPipeline bool
 	// Snapshot, when non-nil, runs the query against this caller-owned
 	// read view instead of one acquired at open — several queries can
 	// share one consistent view of the database. The caller keeps
@@ -302,7 +298,7 @@ func boundsFor(op string, k float64) (keyBounds, bool) {
 // the plan tree describing it (rendered by EXPLAIN, annotated in place
 // by the analyze wrappers when the pipeline is instrumented).
 type pipeline struct {
-	root    operator
+	root    *batchDrainOp
 	columns []string
 	plan    *obs.PlanNode
 }
@@ -334,14 +330,6 @@ func (ps *planState) batch(op batchOperator, n *obs.PlanNode) batchOperator {
 	}
 	n.Analyzed = true
 	return &batchAnalyzeOp{child: op, node: n, sample: ps.sample}
-}
-
-func (ps *planState) row(op operator, n *obs.PlanNode) operator {
-	if !ps.instrument {
-		return op
-	}
-	n.Analyzed = true
-	return &rowAnalyzeOp{child: op, node: n, sample: ps.sample}
 }
 
 // scanPlanNode describes the access path the scan operator was given:
@@ -439,11 +427,9 @@ func compileStmt(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residualWhe
 	return cs, nil
 }
 
-// buildPipeline lowers a statement into an operator tree: the batch
-// executor by default, or the legacy row-at-a-time pipeline when
-// ExecOptions.RowPipeline is set. Every scan in the tree — including
-// the parallel aggregate workers — reads through snap, so the whole
-// query observes one commit.
+// buildPipeline lowers a statement into a batch operator tree under a
+// drain. Every scan in the tree — including the parallel aggregate
+// workers — reads through snap, so the whole query observes one commit.
 func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *engine.Snapshot, opts ExecOptions) (*pipeline, error) {
 	bounds := unboundedKeys()
 	residual := stmt.Where
@@ -461,9 +447,6 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 	}
 
 	ps := newPlanState(db, opts)
-	if opts.RowPipeline {
-		return buildRowPipeline(db, tbl, stmt, residual, cs, snap, lo, hi, bounds, opts, ps), nil
-	}
 
 	var root batchOperator
 	var plan *obs.PlanNode
@@ -516,51 +499,6 @@ func buildPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, snap *eng
 	}
 	plan.AddExtra("pipeline", "batch")
 	return &pipeline{root: drain, columns: cs.columns, plan: plan}, nil
-}
-
-// buildRowPipeline assembles the legacy row-at-a-time operator tree.
-func buildRowPipeline(db *engine.DB, tbl *engine.Table, stmt *SelectStmt, residual Expr,
-	cs *compiledStmt, snap *engine.Snapshot, lo, hi int64, bounds keyBounds, opts ExecOptions, ps *planState) *pipeline {
-	var root operator
-	var plan *obs.PlanNode
-	if cs.aggregate && !bounds.empty {
-		if plo, phi, workers, ok := parallelAggSpan(tbl, snap, lo, hi, opts); ok {
-			plan = parallelAggPlanNode(tbl.Name(), plo, phi, workers, residual)
-			root = ps.row(&parallelAggOp{
-				tbl:       tbl,
-				snap:      snap,
-				qctx:      opts.Ctx,
-				lo:        plo,
-				hi:        phi,
-				workers:   workers,
-				accs:      cs.accs,
-				newWorker: newWorkerFunc(db, tbl, stmt, residual, snap),
-			}, plan)
-		}
-	}
-	if root == nil {
-		plan = scanPlanNode(tbl.Name(), bounds)
-		root = ps.row(&scanOp{tbl: tbl, snap: snap, qctx: opts.Ctx, lo: lo, hi: hi}, plan)
-		if cs.where != nil {
-			fn := &obs.PlanNode{Name: "Filter", Detail: ExprString(residual), Children: []*obs.PlanNode{plan}}
-			root = ps.row(&filterOp{child: root, qctx: opts.Ctx, pred: cs.where}, fn)
-			plan = fn
-		}
-		if cs.aggregate {
-			an := &obs.PlanNode{Name: "Aggregate", Children: []*obs.PlanNode{plan}}
-			root = ps.row(&aggregateOp{child: root, qctx: opts.Ctx, accs: cs.accs}, an)
-			plan = an
-		}
-	}
-	plan = projectPlanNode(cs.columns, plan)
-	root = ps.row(&projectOp{child: root, items: cs.items}, plan)
-	if stmt.Top > 0 {
-		ln := &obs.PlanNode{Name: "Limit", Detail: fmt.Sprintf("TOP %d", stmt.Top), Children: []*obs.PlanNode{plan}}
-		root = ps.row(&limitOp{child: root, n: stmt.Top}, ln)
-		plan = ln
-	}
-	plan.AddExtra("pipeline", "row")
-	return &pipeline{root: root, columns: cs.columns, plan: plan}
 }
 
 // newWorkerFunc builds the per-worker compile closure of a parallel

@@ -81,90 +81,84 @@ func assertDrained(t *testing.T, db *engine.DB) {
 // writer commits — without blocking — while the scan is mid-stream, and
 // a scan opened after the commit sees all of it.
 func TestSnapshotIsolationGolden(t *testing.T) {
-	for _, rowPipe := range []bool{false, true} {
-		name := "batch"
-		if rowPipe {
-			name = "row"
+	t.Run("batch", func(t *testing.T) {
+		const rows = 300
+		db, _ := openTestDB(t, rows, 1.0)
+		opts := ExecOptions{}
+
+		scan, err := QueryWith(db, `SELECT id, x, m FROM t`, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			const rows = 300
-			db, _ := openTestDB(t, rows, 1.0)
-			opts := ExecOptions{RowPipeline: rowPipe}
+		// Pull a handful of rows so the scan is genuinely mid-stream
+		// with a pinned leaf below it.
+		seen := 0
+		for seen < 10 && scan.Next() {
+			seen++
+		}
 
-			scan, err := QueryWith(db, `SELECT id, x, m FROM t`, opts)
+		// The writer commits while the scan is open. Under the old
+		// reader-latch design this UPDATE would deadlock against the
+		// scan's RLock; snapshot reads let it run to completion here.
+		if _, err := Execute(db, `UPDATE t SET x = 2`); err != nil {
+			t.Fatalf("writer blocked or failed mid-scan: %v", err)
+		}
+		if _, err := Execute(db,
+			`UPDATE t SET FloatArrayMax.Subarray(m, IntArray.Vector_1(0), IntArray.Vector_1(1), 1) = FloatArray.Vector_1(-1) WHERE id >= 0`); err != nil {
+			t.Fatalf("blob writer blocked or failed mid-scan: %v", err)
+		}
+		if _, err := Execute(db, `DELETE FROM t WHERE id >= 200`); err != nil {
+			t.Fatalf("delete blocked or failed mid-scan: %v", err)
+		}
+
+		// The in-flight scan still sees exactly the pre-commit state:
+		// every row, x = 1, m[0] = 0.
+		for scan.Next() {
+			seen++
+			row := scan.Row()
+			if row[1].F != 1.0 {
+				t.Fatalf("pre-commit scan saw post-commit x = %v at id %v", row[1].F, row[0].I)
+			}
+			a, err := core.Wrap(row[2].B)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Pull a handful of rows so the scan is genuinely mid-stream
-			// with a pinned leaf below it.
-			seen := 0
-			for seen < 10 && scan.Next() {
-				seen++
+			if got, _ := a.Item(0); got != 0 {
+				t.Fatalf("pre-commit scan saw post-commit blob write m[0] = %v at id %v", got, row[0].I)
 			}
+		}
+		if err := scan.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := scan.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if seen != rows {
+			t.Fatalf("pre-commit scan yielded %d rows, want %d", seen, rows)
+		}
 
-			// The writer commits while the scan is open. Under the old
-			// reader-latch design this UPDATE would deadlock against the
-			// scan's RLock; snapshot reads let it run to completion here.
-			if _, err := Execute(db, `UPDATE t SET x = 2`); err != nil {
-				t.Fatalf("writer blocked or failed mid-scan: %v", err)
-			}
-			if _, err := Execute(db,
-				`UPDATE t SET FloatArrayMax.Subarray(m, IntArray.Vector_1(0), IntArray.Vector_1(1), 1) = FloatArray.Vector_1(-1) WHERE id >= 0`); err != nil {
-				t.Fatalf("blob writer blocked or failed mid-scan: %v", err)
-			}
-			if _, err := Execute(db, `DELETE FROM t WHERE id >= 200`); err != nil {
-				t.Fatalf("delete blocked or failed mid-scan: %v", err)
-			}
-
-			// The in-flight scan still sees exactly the pre-commit state:
-			// every row, x = 1, m[0] = 0.
-			for scan.Next() {
-				seen++
-				row := scan.Row()
-				if row[1].F != 1.0 {
-					t.Fatalf("pre-commit scan saw post-commit x = %v at id %v", row[1].F, row[0].I)
-				}
-				a, err := core.Wrap(row[2].B)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, _ := a.Item(0); got != 0 {
-					t.Fatalf("pre-commit scan saw post-commit blob write m[0] = %v at id %v", got, row[0].I)
-				}
-			}
-			if err := scan.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if err := scan.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if seen != rows {
-				t.Fatalf("pre-commit scan yielded %d rows, want %d", seen, rows)
-			}
-
-			// A fresh scan sees the commits: 200 rows, x = 2, m[0] = -1.
-			res, err := RunWith(db, `SELECT COUNT(*), MIN(x), MAX(x) FROM t`, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rows[0][0].I != 200 || res.Rows[0][1].F != 2 || res.Rows[0][2].F != 2 {
-				t.Fatalf("post-commit scan: count=%v min=%v max=%v, want 200/2/2",
-					res.Rows[0][0].I, res.Rows[0][1].F, res.Rows[0][2].F)
-			}
-			vals, err := RunWith(db, `SELECT m FROM t WHERE id = 0`, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := core.Wrap(vals.Rows[0][0].B)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := a.Item(0); got != -1 {
-				t.Fatalf("post-commit scan missed blob write: m[0] = %v", got)
-			}
-			assertDrained(t, db)
-		})
-	}
+		// A fresh scan sees the commits: 200 rows, x = 2, m[0] = -1.
+		res, err := RunWith(db, `SELECT COUNT(*), MIN(x), MAX(x) FROM t`, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].I != 200 || res.Rows[0][1].F != 2 || res.Rows[0][2].F != 2 {
+			t.Fatalf("post-commit scan: count=%v min=%v max=%v, want 200/2/2",
+				res.Rows[0][0].I, res.Rows[0][1].F, res.Rows[0][2].F)
+		}
+		vals, err := RunWith(db, `SELECT m FROM t WHERE id = 0`, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.Wrap(vals.Rows[0][0].B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := a.Item(0); got != -1 {
+			t.Fatalf("post-commit scan missed blob write: m[0] = %v", got)
+		}
+		assertDrained(t, db)
+	})
 }
 
 // TestSharedSnapshotAcrossQueries pins one explicit snapshot across
@@ -216,20 +210,6 @@ func TestRowsCloseMidStreamReleasesPins(t *testing.T) {
 	// Small batches so the projection resolves MAX blobs zero-copy into
 	// batch-owned pins before we abandon the stream.
 	rows, err := QueryWith(db, `SELECT id, m FROM t`, ExecOptions{BatchSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Next() {
-		t.Fatalf("no rows: %v", rows.Err())
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertDrained(t, db)
-
-	// Same through the row pipeline (pins held per-row rather than
-	// per-batch; the scan's leaf pin is the interesting release there).
-	rows, err = QueryWith(db, `SELECT id, m FROM t`, ExecOptions{RowPipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,15 @@
 #!/bin/sh
 # Emits BENCH_baseline.json: one short run of every perf-tracking
-# benchmark, as {"meta": {...}, "benchmarks": [{"name", "iterations",
-# "ns_per_op"}, ...]}. Run via `make bench-baseline` on a quiet machine.
+# benchmark in scripts/bench.list, as {"meta": {...}, "benchmarks":
+# [{"name", "iterations", "ns_per_op"}, ...]}. Run via
+# `make bench-baseline` on a quiet machine.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-run_bench() {
-	go test -run='^$' -bench="$1" -benchtime="${3:-300ms}" "$2" 2>/dev/null |
-		grep -E '^Benchmark' || true
-}
-
 {
-	run_bench 'BenchmarkWALAppend|BenchmarkWALGroupCommit' ./internal/wal
-	run_bench 'BenchmarkBufferPoolContention|BenchmarkScanResistantEviction' ./internal/pages
-	run_bench 'BenchmarkParallelAggregate|BenchmarkMixedScanDML' ./internal/sqlmini
-	run_bench 'BenchmarkReadAll1MB|BenchmarkPartialRead4kOf1MB|BenchmarkReadRunsStencil|BenchmarkReadRunsPinnedStencil|BenchmarkCodec' ./internal/blob
-	run_bench 'BenchmarkSubarrayPartialVsWholeBlob' . 1x
-	run_bench 'BenchmarkBulkLoad' ./internal/engine 2x
-	run_bench 'BenchmarkPartitionedScanSpeedup' ./internal/partition
+	# Every benchmark in scripts/bench.list; a failing one is left out.
+	./scripts/bench.sh 2>/dev/null | grep -E '^Benchmark' || true
 	# The codec ratio table prints parseable "ratio-table:" lines with the
 	# compression ratio and encode/decode throughput per codec/data shape.
 	go test -run TestCompressionRatioTable -v ./internal/blob 2>/dev/null |

@@ -22,8 +22,8 @@
 //     the scan as key ranges, TOP n / LIMIT n clips the scan's batch
 //     budget so it stops after n rows, and large aggregate scans
 //     partition the key space across goroutines. Query materializes
-//     results; QueryRows streams them; ExecOptions tunes batch size,
-//     parallelism, or forces the row-at-a-time pipeline;
+//     results; QueryRows streams them; ExecOptions tunes batch size
+//     and parallelism;
 //   - the T-SQL function surface (FloatArray.Item_1,
 //     FloatArrayMax.Subarray, IntArray.Vector_2, ...);
 //   - math substrates standing in for LAPACK and FFTW, plus the three
