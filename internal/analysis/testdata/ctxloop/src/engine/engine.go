@@ -11,7 +11,7 @@ func (c *Cursor) Next() bool { return false }
 func (c *Cursor) FillBatch(max int, fn func(key int64, row *RowView) error) (int, error) {
 	return 0, nil
 }
-func (c *Cursor) FillColumns(max int, need []bool, keys []int64, cols [][]Value, copyBin func([]byte) []byte) (int, error) {
+func (c *Cursor) FillColumns(max int, need []bool, cols [][]Value, copyBin func([]byte) []byte) (int, error) {
 	return 0, nil
 }
 func (c *Cursor) Key() int64 { return 0 }

@@ -100,27 +100,27 @@ func drainCursorPolled(ctx context.Context, cur *engine.Cursor) (int64, error) {
 }
 
 // bad: a columnar batch fill loop that never polls.
-func fillColumnsNoPoll(cur *engine.Cursor, need []bool, keys []int64, cols [][]engine.Value) int {
+func fillColumnsNoPoll(cur *engine.Cursor, max int, need []bool, cols [][]engine.Value) int {
 	total := 0
 	for { // want `advances a row/batch stream without polling cancellation`
-		n, err := cur.FillColumns(len(keys), need, keys, cols, nil)
+		n, err := cur.FillColumns(max, need, cols, nil)
 		total += n
-		if err != nil || n < len(keys) {
+		if err != nil || n < max {
 			return total
 		}
 	}
 }
 
 // good: the same fill loop checking the pollCancel helper.
-func fillColumnsPolled(ctx context.Context, cur *engine.Cursor, need []bool, keys []int64, cols [][]engine.Value) (int, error) {
+func fillColumnsPolled(ctx context.Context, cur *engine.Cursor, max int, need []bool, cols [][]engine.Value) (int, error) {
 	total := 0
 	for {
 		if err := pollCancel(ctx); err != nil {
 			return total, err
 		}
-		n, err := cur.FillColumns(len(keys), need, keys, cols, nil)
+		n, err := cur.FillColumns(max, need, cols, nil)
 		total += n
-		if err != nil || n < len(keys) {
+		if err != nil || n < max {
 			return total, err
 		}
 	}

@@ -108,8 +108,9 @@ func searchSlot(p *pages.Page, key int64) (int, bool) {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		rec, err := p.Record(mid)
-		if err != nil {
-			// Dense nodes never have dead slots; treat as not found.
+		if err != nil || len(rec) < 8 {
+			// Dense nodes never have dead or keyless slots; treat as not
+			// found (a scan from here fails on the slot itself).
 			hi = mid
 			continue
 		}
@@ -633,13 +634,12 @@ func (t *Tree) maxKey() (int64, bool, error) {
 			return 0, false, err
 		}
 		for slot := f.Page.NumSlots() - 1; slot >= 0; slot-- {
-			rec, err := f.Page.Record(slot)
-			if err != nil {
+			key, _, err := LeafRecord(&f.Page, slot)
+			if errors.Is(err, pages.ErrBadSlot) {
 				continue // dead slot
 			}
-			key := leafKey(rec)
 			t.fx.Unpin(f, false)
-			return key, true, nil
+			return key, err == nil, err
 		}
 		prev := f.Page.Prev()
 		t.fx.Unpin(f, false)

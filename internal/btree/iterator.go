@@ -96,19 +96,61 @@ func (t *Tree) newIterator(leaf pages.PageID, slot int) (*Iterator, error) {
 }
 
 // LeafRecord decodes slot i of a leaf page into its key and value; the
-// value aliases the page. Leaves are dense — removal compacts the slot
-// directory — so a dead slot, one pointing outside the page or one too
-// short to hold a key is corruption and comes back as an error.
+// value aliases the page. It fails as LeafValue does.
 func LeafRecord(leaf *pages.Page, i int) (int64, []byte, error) {
+	off, ln, ok := leafSlot(leaf, i)
+	if !ok {
+		return 0, nil, leafSlotErr(leaf, i)
+	}
+	rec := leaf.Buf[off : off+ln]
+	return leafKey(rec), rec[8:], nil
+}
+
+// LeafValue returns the value of slot i of a leaf page, aliasing the
+// page, without reading the record's key. Leaves are dense — removal
+// compacts the slot directory — so a dead slot, one pointing outside
+// the page or one too short to hold a key is corruption and comes back
+// as an error.
+func LeafValue(leaf *pages.Page, i int) ([]byte, error) {
+	off, ln, ok := leafSlot(leaf, i)
+	if !ok {
+		return nil, leafSlotErr(leaf, i)
+	}
+	return leaf.Buf[off+8 : off+ln], nil
+}
+
+// CheckLeafSlots makes LeafValue's checks on slots [from, to) of a leaf
+// — the slot run LeafRun hands out — from the slot directory alone, so
+// a caller that only counts rows touches no record byte. It returns how
+// many slots pass before the first that fails, and that slot's error.
+func CheckLeafSlots(leaf *pages.Page, from, to int) (int, error) {
+	for i := from; i < to; i++ {
+		if _, _, ok := leafSlot(leaf, i); !ok {
+			return i - from, leafSlotErr(leaf, i)
+		}
+	}
+	return to - from, nil
+}
+
+// leafSlot is the check every leaf read makes: slot i exists, is live,
+// lies inside the page and holds at least a key. It returns the slot's
+// directory entry.
+func leafSlot(leaf *pages.Page, i int) (off, ln int, ok bool) {
+	if uint(i) >= uint(leaf.NumSlots()) {
+		return 0, 0, false
+	}
+	off, ln = leaf.Slot(i)
+	return off, ln, ln >= 8 && off >= pages.HeaderSize && off+ln <= pages.PageSize
+}
+
+// leafSlotErr says why slot i failed leafSlot.
+func leafSlotErr(leaf *pages.Page, i int) error {
 	rec, err := leaf.Record(i)
 	if err != nil {
-		return 0, nil, fmt.Errorf("btree: leaf %d: %w", leaf.ID, err)
+		return fmt.Errorf("btree: leaf %d: %w", leaf.ID, err)
 	}
-	if len(rec) < 8 {
-		return 0, nil, fmt.Errorf("btree: leaf %d: %w: slot %d holds %d bytes, no key",
-			leaf.ID, pages.ErrBadPage, i, len(rec))
-	}
-	return leafKey(rec), rec[8:], nil
+	return fmt.Errorf("btree: leaf %d: %w: slot %d holds %d bytes, no key",
+		leaf.ID, pages.ErrBadPage, i, len(rec))
 }
 
 // Next advances to the next record, returning false at the end or on
@@ -145,10 +187,10 @@ func (it *Iterator) Next() bool {
 // LeafRun consumes up to max records in one step and returns the pinned
 // leaf holding them with their slot range [from, to): every key in it
 // lies within the scan's range, in order. Decode the slots with
-// LeafRecord. The leaf stays pinned by the iterator until the next call
-// to Next, LeafRun or Close; the caller must not unpin it. At the end of
-// the range, or on error, leaf is nil; so it is for a max below 1, which
-// callers must not pass. Key and Value are not updated.
+// LeafRecord or LeafValue. The leaf stays pinned by the iterator until
+// the next call to Next, LeafRun or Close; the caller must not unpin it.
+// At the end of the range, or on error, leaf is nil; so it is for a max
+// below 1, which callers must not pass. Key and Value are not updated.
 //
 // The upper bound is checked once per leaf against the leaf's last key;
 // only a leaf that straddles it is binary-searched for the cut. Leaves

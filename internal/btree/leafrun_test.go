@@ -246,12 +246,26 @@ func TestCorruptLeafSlotIsAnError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err) // the run itself only reads the leaf's last key
 			}
-			var recErr error
+			var recErr, valErr error
 			for i := from; i < to && recErr == nil; i++ {
 				_, _, recErr = LeafRecord(leaf, i)
 			}
-			if !errors.Is(recErr, c.want) {
-				t.Errorf("LeafRecord over the run: %v, want %v", recErr, c.want)
+			for i := from; i < to && valErr == nil; i++ {
+				_, valErr = LeafValue(leaf, i)
+			}
+			if !errors.Is(recErr, c.want) || !errors.Is(valErr, c.want) {
+				t.Errorf("over the run: LeafRecord %v, LeafValue %v; want %v", recErr, valErr, c.want)
+			}
+			it.Close()
+
+			// A seek's binary search lands on the corrupt slot; the scan
+			// from there fails on it.
+			it, err = tr.ScanFrom(10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if it.Next() || !errors.Is(it.Err(), c.want) {
+				t.Errorf("ScanFrom(10): Err = %v, want %v", it.Err(), c.want)
 			}
 			it.Close()
 
@@ -268,6 +282,15 @@ func TestCorruptLeafSlotIsAnError(t *testing.T) {
 				t.Errorf("Err after failed LeafRun = %v", it.Err())
 			}
 			it.Close()
+			// Bounds skips a dead last slot and fails on any other.
+			_, max, _, err := tr.Bounds()
+			if c.want == pages.ErrBadSlot {
+				if err != nil || max != 48 {
+					t.Errorf("Bounds over a dead last slot: max %d, %v; want 48", max, err)
+				}
+			} else if !errors.Is(err, c.want) {
+				t.Errorf("Bounds over a corrupt last slot: %v, want %v", err, c.want)
+			}
 			if p := tr.bp.PinnedFrames(); p != 0 {
 				t.Errorf("%d frames pinned after Close", p)
 			}

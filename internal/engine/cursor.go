@@ -104,17 +104,19 @@ func (c *Cursor) FillBatch(max int, fn func(key int64, row *RowView) error) (int
 }
 
 // FillColumns is the columnar batch fill: it decodes up to max rows
-// straight into keys[n] and cols[ci][n] for every column ci with
-// need[ci] set, and returns the row count n. keys, and cols[ci] for the
-// needed columns, must hold at least max entries; columns not needed
-// are left untouched and may be nil. Each row is decoded in one forward
-// pass that stops at the last needed column, with the bounds and
-// truncation checks RowView.Col makes. VARBINARY values and
-// VARBINARY(MAX) refs are passed through copyBin while their leaf is
-// pinned, and the value stores what copyBin returns. Fewer than max rows
-// means the range is exhausted or the fill failed; a failure ends the
-// scan as it does for FillBatch.
-func (c *Cursor) FillColumns(max int, need []bool, keys []int64, cols [][]Value, copyBin func([]byte) []byte) (int, error) {
+// straight into cols[ci][n] for every column ci with need[ci] set, and
+// returns the row count n. cols[ci] must hold at least max entries for
+// the needed columns; columns not needed are left untouched and may be
+// nil. Each row is decoded in one forward pass that stops at the last
+// needed column, with the bounds and truncation checks RowView.Col
+// makes; clustered keys are not decoded. When need selects no column
+// (COUNT(*)), each leaf run is counted from its slot directory alone:
+// every slot still gets the leaf-record checks, but no record byte is
+// read. VARBINARY values and VARBINARY(MAX) refs are passed through
+// copyBin while their leaf is pinned, and the value stores what copyBin
+// returns. Fewer than max rows means the range is exhausted or the fill
+// failed; a failure ends the scan as it does for FillBatch.
+func (c *Cursor) FillColumns(max int, need []bool, cols [][]Value, copyBin func([]byte) []byte) (int, error) {
 	columns := c.schema.Columns
 	last := -1
 	for ci, use := range need {
@@ -140,19 +142,25 @@ func (c *Cursor) FillColumns(max int, need []bool, keys []int64, cols [][]Value,
 		}
 	}
 	fixedLen := 9 * len(columns)
-	keys = keys[:max]
 	n := 0
 	for n < max {
 		leaf, from, to, err := c.it.LeafRun(max - n)
 		if leaf == nil {
 			return n, c.failed(err)
 		}
-		for i := from; i < to; i++ {
-			key, raw, err := btree.LeafRecord(leaf, i)
+		if last < 0 {
+			k, err := btree.CheckLeafSlots(leaf, from, to)
+			n += k
 			if err != nil {
 				return n, c.failed(err)
 			}
-			keys[n] = key
+			continue
+		}
+		for i := from; i < to; i++ {
+			raw, err := btree.LeafValue(leaf, i)
+			if err != nil {
+				return n, c.failed(err)
+			}
 			if !fixed || !fillFixed(raw, n, fixedLen, plan) {
 				if err := fillRow(raw, n, columns, need, cols, copyBin); err != nil {
 					return n, c.failed(err)

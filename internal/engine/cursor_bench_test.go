@@ -46,12 +46,12 @@ func scalarTable(tb testing.TB, n int) *Table {
 // BenchmarkCursorFill measures the engine half of a batch scan in ns per
 // row: a full scan of a warm 100k-row Tscalar-shaped table summing v1 in
 // 1024-row batches, once through FillBatch and a RowView per row and
-// once through the columnar FillColumns.
+// once through the columnar FillColumns; CountOnly is the COUNT(*)
+// fill, FillColumns with no column needed.
 func BenchmarkCursorFill(b *testing.B) {
 	const rows, batch = 100_000, 1024
 	tbl := scalarTable(b, rows)
-	need := []bool{false, true}
-	keys := make([]int64, batch)
+	need, countOnly := []bool{false, true}, []bool{false, false}
 	cols := [][]Value{nil, make([]Value, batch)}
 	copyBin := func(p []byte) []byte { return p }
 
@@ -94,12 +94,18 @@ func BenchmarkCursorFill(b *testing.B) {
 	})
 	b.Run("FillColumns", func(b *testing.B) {
 		scan(b, func(cur *Cursor) (int, float64, error) {
-			n, err := cur.FillColumns(batch, need, keys, cols, copyBin)
+			n, err := cur.FillColumns(batch, need, cols, copyBin)
 			sum := 0.0
 			for _, v := range cols[1][:n] {
 				sum += v.F
 			}
 			return n, sum, err
+		})
+	})
+	b.Run("CountOnly", func(b *testing.B) {
+		scan(b, func(cur *Cursor) (int, float64, error) {
+			n, err := cur.FillColumns(batch, countOnly, nil, copyBin)
+			return n, float64(n), err
 		})
 	})
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -15,12 +16,15 @@ import (
 )
 
 // The leaf fill (FillColumns) must be indistinguishable from the
-// row-at-a-time scan it replaces (Next + RowView.Col): same keys, same
+// row-at-a-time scan it replaces (Next + RowView.Col): same rows, same
 // values, the same pages fetched, and no pins left after Close. The
 // cases are seeded; every failure names its seed.
 
 // scanned is one scan's output: keys, the needed columns' values (in
 // need order, binary payloads copied) and the logical reads it took.
+// FillColumns decodes no keys, so its scans carry them only when the
+// id column (column 0, equal to the clustered key) is needed; keys is
+// nil otherwise.
 type scanned struct {
 	keys  []int64
 	vals  [][]Value // per row
@@ -90,7 +94,6 @@ func scanLeafFill(t *testing.T, tbl *Table, s *Snapshot, c fillCase, between fun
 	t.Helper()
 	bp := tbl.db.bp
 	var out scanned
-	keys := make([]int64, c.cap)
 	cols := make([][]Value, len(c.need))
 	for ci, use := range c.need {
 		if use {
@@ -105,12 +108,12 @@ func scanLeafFill(t *testing.T, tbl *Table, s *Snapshot, c fillCase, between fun
 	for {
 		want := c.cap
 		if c.limit > 0 {
-			want = min(want, c.limit-len(out.keys))
+			want = min(want, c.limit-len(out.vals))
 		}
 		if want == 0 {
 			break
 		}
-		n, err := cur.FillColumns(want, c.need, keys, cols, copyBytes)
+		n, err := cur.FillColumns(want, c.need, cols, copyBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +124,9 @@ func scanLeafFill(t *testing.T, tbl *Table, s *Snapshot, c fillCase, between fun
 					row = append(row, cols[ci][i])
 				}
 			}
-			out.keys = append(out.keys, keys[i])
+			if c.need[0] {
+				out.keys = append(out.keys, cols[0][i].I)
+			}
 			out.vals = append(out.vals, row)
 		}
 		if n < want {
@@ -193,12 +198,13 @@ func sameValue(a, b Value) bool {
 }
 
 // diffScans returns the first difference between two scans, or "".
+// Keys are compared when got carries them.
 func diffScans(want, got scanned, reads bool) string {
-	if len(got.keys) != len(want.keys) {
-		return fmt.Sprintf("%d rows, want %d", len(got.keys), len(want.keys))
+	if len(got.vals) != len(want.vals) {
+		return fmt.Sprintf("%d rows, want %d", len(got.vals), len(want.vals))
 	}
-	for i := range want.keys {
-		if got.keys[i] != want.keys[i] {
+	for i := range want.vals {
+		if got.keys != nil && got.keys[i] != want.keys[i] {
 			return fmt.Sprintf("row %d key %d, want %d", i, got.keys[i], want.keys[i])
 		}
 		for j := range want.vals[i] {
@@ -463,9 +469,28 @@ func TestFillColumnsSnapshotUnderConcurrentUpdates(t *testing.T) {
 	}
 }
 
-// corruptLeafSlot points slot i of the table's single leaf outside the
-// page, through a pinned frame that is then unpinned clean.
-func corruptLeafSlot(t *testing.T, tbl *Table, i int) {
+// slotCorruption is a bad slot-directory entry: a leaf scan must fail
+// on it with want after the rows before it, whatever reads the leaf.
+type slotCorruption struct {
+	name    string
+	off, ln int // new entry; off -1 keeps the slot's own offset
+	want    error
+}
+
+func slotCorruptions() []slotCorruption {
+	cs := []slotCorruption{
+		{"outside-page", 8176, 256, pages.ErrBadPage},
+		{"dead", -1, 0, pages.ErrBadSlot},
+	}
+	for ln := 1; ln < 8; ln++ {
+		cs = append(cs, slotCorruption{fmt.Sprintf("short-%d", ln), -1, ln, pages.ErrBadPage})
+	}
+	return cs
+}
+
+// corruptLeafSlot rewrites slot i of the table's single leaf as c says,
+// through a pinned frame that is then unpinned clean.
+func corruptLeafSlot(t *testing.T, tbl *Table, i int, c slotCorruption) {
 	t.Helper()
 	if tbl.tree.Height() != 1 {
 		t.Fatalf("want a single-leaf table, height %d", tbl.tree.Height())
@@ -475,70 +500,97 @@ func corruptLeafSlot(t *testing.T, tbl *Table, i int) {
 		t.Fatal(err)
 	}
 	base := pages.PageSize - (i+1)*4
-	f.Page.Buf[base], f.Page.Buf[base+1] = 0xF0, 0x1F   // offset 8176
-	f.Page.Buf[base+2], f.Page.Buf[base+3] = 0x00, 0x01 // length 256
+	if c.off >= 0 {
+		binary.LittleEndian.PutUint16(f.Page.Buf[base:], uint16(c.off))
+	}
+	binary.LittleEndian.PutUint16(f.Page.Buf[base+2:], uint16(c.ln))
 	tbl.db.bp.Unpin(f, false)
 }
 
+// fillAll drains cur through FillColumns in batches of capRows rows and
+// returns the row total and the error that ended the scan, if any.
+func fillAll(cur *Cursor, capRows int, need []bool) (int, error) {
+	cols := [][]Value{make([]Value, capRows), make([]Value, capRows)}
+	total := 0
+	for {
+		n, err := cur.FillColumns(capRows, need, cols, copyBytes)
+		total += n
+		if err != nil || n < capRows {
+			return total, err
+		}
+	}
+}
+
 func TestCorruptLeafSlotFailsEveryScan(t *testing.T) {
-	db, err := Open(Options{PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, err := NewSchema(Column{Name: "id", Type: ColInt64}, Column{Name: "x", Type: ColFloat64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.CreateTable("t", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := tbl.Insert([]Value{IntValue(int64(i)), FloatValue(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corruptLeafSlot(t, tbl, 20)
+	needs := [][]bool{{true, true}, {true, false}, {false, true}, {false, false}, nil}
+	for _, c := range slotCorruptions() {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := Open(Options{PoolPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			schema, err := NewSchema(Column{Name: "id", Type: ColInt64}, Column{Name: "x", Type: ColFloat64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := db.CreateTable("t", schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40; i++ {
+				if err := tbl.Insert([]Value{IntValue(int64(i)), FloatValue(float64(i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			corruptLeafSlot(t, tbl, 20, c)
+			open := func() *Cursor {
+				t.Helper()
+				cur, err := tbl.Cursor()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cur
+			}
+			check := func(what string, n int, err error) {
+				t.Helper()
+				if n != 20 || !errors.Is(err, c.want) {
+					t.Errorf("%s: %d rows then %v; want 20 rows then %v", what, n, err, c.want)
+				}
+			}
 
-	cur, err := tbl.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for cur.Next() {
-		n++
-	}
-	if err := cur.Err(); !errors.Is(err, pages.ErrBadPage) || n != 20 {
-		t.Errorf("Next: %d rows then %v; want 20 rows then ErrBadPage", n, err)
-	}
-	cur.Close()
+			cur := open()
+			n := 0
+			for cur.Next() {
+				n++
+			}
+			check("Next", n, cur.Err())
+			cur.Close()
 
-	cur, err = tbl.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err = cur.FillBatch(1024, func(int64, *RowView) error { return nil })
-	if !errors.Is(err, pages.ErrBadPage) || n != 20 {
-		t.Errorf("FillBatch = %d, %v; want 20, ErrBadPage", n, err)
-	}
-	if cur.Next() || !errors.Is(cur.Err(), pages.ErrBadPage) {
-		t.Errorf("the scan must stay failed after FillBatch's error: Err = %v", cur.Err())
-	}
-	cur.Close()
+			cur = open()
+			n, err = cur.FillBatch(1024, func(int64, *RowView) error { return nil })
+			check("FillBatch", n, err)
+			if cur.Next() || !errors.Is(cur.Err(), c.want) {
+				t.Errorf("the scan must stay failed after FillBatch's error: Err = %v", cur.Err())
+			}
+			for _, need := range needs {
+				n, err := fillAll(cur, 1024, need)
+				if n != 0 || !errors.Is(err, c.want) {
+					t.Errorf("FillColumns(need=%v) on the failed scan = %d, %v; want 0, %v", need, n, err, c.want)
+				}
+			}
+			cur.Close()
 
-	cur, err = tbl.Cursor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]int64, 1024)
-	for _, need := range [][]bool{{false, true}, nil} {
-		n, err = cur.FillColumns(1024, need, keys, [][]Value{nil, make([]Value, 1024)}, copyBytes)
-		if !errors.Is(err, pages.ErrBadPage) {
-			t.Errorf("FillColumns(need=%v) = %d, %v; want ErrBadPage", need, n, err)
-		}
-	}
-	cur.Close()
-	if p := db.bp.PinnedFrames(); p != 0 {
-		t.Errorf("%d frames pinned after Close", p)
+			for _, need := range needs {
+				for _, capRows := range []int{1024, 7} {
+					cur := open()
+					n, err := fillAll(cur, capRows, need)
+					check(fmt.Sprintf("FillColumns(cap=%d, need=%v)", capRows, need), n, err)
+					cur.Close()
+				}
+			}
+			if p := db.bp.PinnedFrames(); p != 0 {
+				t.Errorf("%d frames pinned after Close", p)
+			}
+		})
 	}
 }

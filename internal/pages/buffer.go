@@ -93,13 +93,11 @@ func (c *counters) reset() {
 
 // Frame is a pinned page in the buffer pool. Callers must Unpin every
 // fetched frame; the Page must not be touched after unpinning. The pin
-// count is an atomic so observers (PinnedFrames, assertions in tests)
-// can read it without taking the owning shard's lock; mutations happen
-// under that lock, which is what makes the pin-count/LRU transition
-// race-free.
+// count is read and changed only under the owning shard's lock, which
+// is what makes the pin-count/LRU transition race-free.
 type Frame struct {
 	Page  Page
-	pins  atomic.Int32
+	pins  int32         // guarded by shard.mu; see pinLocked/unpinLocked
 	dirty bool          // guarded by shard.mu
 	lru   *list.Element // guarded by shard.mu; element of the tier's list
 	tier  int8          // SLRU segment (probation/protected); guarded by shard.mu
@@ -228,6 +226,29 @@ type shard struct {
 	// page table and the LRU lists; they are dropped once no active
 	// snapshot can need them (see droppableLocked). Guarded by mu.
 	vers map[PageID][]*Frame
+	// pinned counts the shard's frames with a nonzero pin count; it
+	// changes at a frame's 0↔1 pin transitions (pinLocked/unpinLocked).
+	// Guarded by mu.
+	pinned int
+}
+
+// pinLocked adds a pin to f, a frame of s. Caller holds s.mu.
+func (s *shard) pinLocked(f *Frame) {
+	f.pins++
+	if f.pins == 1 {
+		s.pinned++
+	}
+}
+
+// unpinLocked drops a pin from f, a frame of s; an unpinned frame stays
+// unpinned. Caller holds s.mu.
+func (s *shard) unpinLocked(f *Frame) {
+	if f.pins > 0 {
+		f.pins--
+		if f.pins == 0 {
+			s.pinned--
+		}
+	}
 }
 
 // listFor returns the LRU list a frame's tier assigns it to. Caller
@@ -478,7 +499,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 			f.tier = tierProtected
 			bp.stats.promotions.Add(1)
 		}
-		f.pins.Add(1)
+		s.pinLocked(f)
 		s.mu.Unlock()
 		return f, nil
 	}
@@ -502,7 +523,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 			return nil, err
 		}
 	}
-	f.pins.Store(1)
+	s.pinLocked(f)
 	f.dirty = false
 	f.unlogged = false
 	f.pending = false
@@ -537,7 +558,7 @@ func (bp *BufferPool) NewPage(t PageType) (*Frame, error) {
 	}
 	f.Page.ID = id
 	f.Page.Init(t)
-	f.pins.Store(1)
+	s.pinLocked(f)
 	f.dirty = true
 	f.unlogged = false
 	f.pending = false
@@ -673,15 +694,13 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 			c.add(f)
 		}
 	}
-	if f.pins.Load() > 0 {
-		f.pins.Add(-1)
-	}
+	s.unpinLocked(f)
 	// Pending and versioned frames stay off the LRU: a pending frame's
 	// fate is decided by publish/abort, and a superseded version must
 	// never become an eviction victim (its content is stale; flushing it
 	// would clobber newer disk state). Versioned frames are instead
 	// garbage-collected once unpinned and no longer needed.
-	if f.pins.Load() == 0 && f.lru == nil && !f.pending && !f.versioned {
+	if f.pins == 0 && f.lru == nil && !f.pending && !f.versioned {
 		if !bp.slru.Load() {
 			// Plain-LRU mode: collapse everything back into the single
 			// probationary list so the toggle degrades cleanly.
@@ -692,7 +711,7 @@ func (bp *BufferPool) Unpin(f *Frame, dirty bool) {
 			s.enforceProtCapLocked()
 		}
 	}
-	if f.versioned && f.pins.Load() == 0 {
+	if f.versioned && f.pins == 0 {
 		s.dropVersionsLocked(bp, f.Page.ID)
 	}
 	s.mu.Unlock()
@@ -751,7 +770,7 @@ func (bp *BufferPool) DropCleanBuffers() error {
 	}()
 	for _, s := range bp.shards {
 		for id, f := range s.table {
-			if f.pins.Load() > 0 {
+			if f.pins > 0 {
 				return fmt.Errorf("pages: page %d still pinned", id)
 			}
 			if f.unlogged || f.pending {
@@ -760,7 +779,7 @@ func (bp *BufferPool) DropCleanBuffers() error {
 		}
 		for id, vs := range s.vers {
 			for _, f := range vs {
-				if f.pins.Load() > 0 {
+				if f.pins > 0 {
 					return fmt.Errorf("pages: superseded version of page %d still pinned", id)
 				}
 			}
@@ -805,23 +824,15 @@ func (bp *BufferPool) Shards() int { return len(bp.shards) }
 // PinnedFrames returns the number of frames with a nonzero pin count.
 // A quiesced pool must report zero; iterators, cursors and pinned blob
 // views that terminate early are required to release on Close, and
-// tests assert this invariant through here.
+// tests assert this invariant through here. It sums the shards' pinned
+// counts, one short lock per shard, so the pages.pinned_frames gauge
+// costs the same on any pool size. A pending frame an aborted session
+// left pinned counts until it is unpinned.
 func (bp *BufferPool) PinnedFrames() int {
 	n := 0
 	for _, s := range bp.shards {
 		s.mu.Lock()
-		for _, f := range s.table {
-			if f.pins.Load() > 0 {
-				n++
-			}
-		}
-		for _, vs := range s.vers {
-			for _, f := range vs {
-				if f.pins.Load() > 0 {
-					n++
-				}
-			}
-		}
+		n += s.pinned
 		s.mu.Unlock()
 	}
 	return n

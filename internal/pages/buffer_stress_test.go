@@ -186,8 +186,28 @@ func TestShardedPoolConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := bp.PinnedFrames(); got != 0 {
-		t.Fatalf("PinnedFrames after stress = %d, want 0", got)
+	if got, walk := bp.PinnedFrames(), bp.pinnedFramesWalk(); got != 0 || walk != 0 {
+		t.Fatalf("PinnedFrames after stress = %d, walk %d, want 0", got, walk)
+	}
+	// Pin a random set of pages, some twice: the counters must match the
+	// walk with pins held and again once they are released.
+	rng := rand.New(rand.NewSource(7))
+	var held []*Frame
+	for i := 0; i < 64; i++ {
+		f, err := bp.Fetch(ids[rng.Intn(32)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, f)
+	}
+	if got, walk := bp.PinnedFrames(), bp.pinnedFramesWalk(); got != walk || got == 0 {
+		t.Fatalf("PinnedFrames with pins held = %d, walk %d", got, walk)
+	}
+	for _, f := range held {
+		bp.Unpin(f, false)
+	}
+	if got, walk := bp.PinnedFrames(), bp.pinnedFramesWalk(); got != 0 || walk != 0 {
+		t.Fatalf("PinnedFrames after release = %d, walk %d, want 0", got, walk)
 	}
 	if got := bp.CachedPages(); got > bp.Capacity() {
 		t.Fatalf("CachedPages = %d exceeds capacity %d", got, bp.Capacity())
@@ -317,4 +337,128 @@ func TestEvictionWriteBackFailureKeepsDirtyPage(t *testing.T) {
 		t.Fatalf("dirty page lost across recovered eviction: %q, %v", rec, err)
 	}
 	bp.Unpin(f, false)
+}
+
+// pinnedFramesWalk is the reference PinnedFrames' per-shard counters
+// must agree with: a walk over every resident frame and retained
+// version under its shard's lock.
+func (bp *BufferPool) pinnedFramesWalk() int {
+	n := 0
+	for _, s := range bp.shards {
+		s.mu.Lock()
+		for _, f := range s.table {
+			if f.pins > 0 {
+				n++
+			}
+		}
+		for _, vs := range s.vers {
+			for _, f := range vs {
+				if f.pins > 0 {
+					n++
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestPinnedCountMatchesWalk drives every pin and unpin path — pool
+// fetches (hit and miss), NewPage, snapshot fetches of current and
+// superseded versions, FetchForWrite, publish and abort — in a seeded
+// random order on a small multi-shard pool, and checks the pinned
+// counters against the walk after every step.
+func TestPinnedCountMatchesWalk(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bp := NewBufferPoolShards(NewMemDisk(), 128, 4)
+		var ids []PageID
+		for i := 0; i < 600; i++ { // more pages than frames: fetches miss
+			f, err := bp.NewPage(TypeData)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, f.Page.ID)
+			bp.Unpin(f, true)
+		}
+		type pin struct {
+			f  *Frame
+			sn *Snapshot // nil: pinned through the pool
+		}
+		var held []pin
+		var snaps []*Snapshot
+		var capture *Capture
+		for step := 0; step < 1500; step++ {
+			switch k := rng.Intn(100); {
+			case k < 25 && len(held) < 12:
+				f, err := bp.Fetch(ids[rng.Intn(len(ids))])
+				if err != nil {
+					t.Fatalf("seed %d step %d: Fetch: %v", seed, step, err)
+				}
+				held = append(held, pin{f: f})
+			case k < 40 && len(held) < 12 && len(snaps) > 0:
+				sn := snaps[rng.Intn(len(snaps))]
+				f, err := sn.Fetch(ids[rng.Intn(len(ids))])
+				if err != nil {
+					t.Fatalf("seed %d step %d: snapshot Fetch: %v", seed, step, err)
+				}
+				held = append(held, pin{f: f, sn: sn})
+			case k < 55 && len(held) > 0:
+				i := rng.Intn(len(held))
+				bp.Unpin(held[i].f, false)
+				held = append(held[:i], held[i+1:]...)
+			case k < 62 && len(snaps) < 4:
+				snaps = append(snaps, bp.AcquireSnapshot())
+			case k < 67 && len(snaps) > 0:
+				// Release a snapshot once none of its pins are held.
+				sn := snaps[0]
+				busy := false
+				for _, p := range held {
+					busy = busy || p.sn == sn
+				}
+				if !busy {
+					sn.Release()
+					snaps = snaps[1:]
+				}
+			case k < 72 && capture == nil:
+				c, err := bp.BeginCapture()
+				if err != nil {
+					t.Fatal(err)
+				}
+				capture = c
+			case k < 85 && capture != nil:
+				f, err := bp.FetchForWrite(ids[rng.Intn(len(ids))])
+				if err != nil {
+					t.Fatalf("seed %d step %d: FetchForWrite: %v", seed, step, err)
+				}
+				f.Page.Buf[HeaderSize] = byte(step)
+				bp.Unpin(f, true)
+			case capture != nil:
+				// End the session: publish or abort.
+				bp.EndCapture(capture)
+				if rng.Intn(2) == 0 {
+					bp.FinishPublish(bp.PreparePublish(capture))
+				} else {
+					bp.AbortCapture(capture)
+				}
+				capture = nil
+			}
+			if got, walk := bp.PinnedFrames(), bp.pinnedFramesWalk(); got != walk {
+				t.Fatalf("seed %d step %d: PinnedFrames = %d, walk %d", seed, step, got, walk)
+			}
+		}
+		for _, p := range held {
+			bp.Unpin(p.f, false)
+		}
+		if capture != nil {
+			bp.EndCapture(capture)
+			bp.AbortCapture(capture)
+		}
+		for _, sn := range snaps {
+			sn.Release()
+		}
+		if got, walk := bp.PinnedFrames(), bp.pinnedFramesWalk(); got != 0 || walk != 0 {
+			t.Fatalf("seed %d: at quiesce PinnedFrames = %d, walk %d, want 0", seed, got, walk)
+		}
+	}
 }

@@ -193,8 +193,11 @@ func (p *Page) FreeSpace() int {
 // slotAt returns the byte offset of slot i's directory entry.
 func slotAt(i int) int { return PageSize - (i+1)*slotSize }
 
-// slot returns the (offset, length) stored in slot i.
-func (p *Page) slot(i int) (off, ln int) {
+// Slot returns the (offset, length) stored in slot i's directory entry,
+// unchecked: i must be below NumSlots, and a dead or out-of-page entry
+// comes back as stored. Record is the checked read; Slot is for scan
+// loops that check entries themselves without touching the records.
+func (p *Page) Slot(i int) (off, ln int) {
 	base := slotAt(i)
 	return int(binary.LittleEndian.Uint16(p.Buf[base:])),
 		int(binary.LittleEndian.Uint16(p.Buf[base+2:]))
@@ -241,7 +244,7 @@ func (p *Page) InsertAt(pos int, rec []byte) error {
 	p.setFreeLo(off + len(rec))
 	// Shift slots [pos, n) up to [pos+1, n+1).
 	for i := n; i > pos; i-- {
-		o, l := p.slot(i - 1)
+		o, l := p.Slot(i - 1)
 		p.setSlot(i, o, l)
 	}
 	p.setSlot(pos, off, len(rec))
@@ -258,7 +261,7 @@ func (p *Page) RemoveAt(pos int) error {
 		return fmt.Errorf("%w: remove position %d of %d", ErrBadSlot, pos, n)
 	}
 	for i := pos; i < n-1; i++ {
-		o, l := p.slot(i + 1)
+		o, l := p.Slot(i + 1)
 		p.setSlot(i, o, l)
 	}
 	p.setNumSlots(n - 1)
@@ -276,7 +279,7 @@ func (p *Page) Record(i int) ([]byte, error) {
 	if i < 0 || i >= p.NumSlots() {
 		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
 	}
-	off, ln := p.slot(i)
+	off, ln := p.Slot(i)
 	if ln == 0 {
 		return nil, fmt.Errorf("%w: slot %d is dead", ErrBadSlot, i)
 	}
@@ -302,7 +305,7 @@ func (p *Page) Update(i int, rec []byte) error {
 	if i < 0 || i >= p.NumSlots() {
 		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
 	}
-	off, ln := p.slot(i)
+	off, ln := p.Slot(i)
 	if ln == 0 {
 		return fmt.Errorf("%w: slot %d is dead", ErrBadSlot, i)
 	}
@@ -330,7 +333,7 @@ func (p *Page) Compact() {
 	type ent struct{ off, ln int }
 	ents := make([]ent, n)
 	for i := 0; i < n; i++ {
-		off, ln := p.slot(i)
+		off, ln := p.Slot(i)
 		if ln == 0 {
 			continue
 		}
@@ -351,7 +354,7 @@ func (p *Page) Compact() {
 func (p *Page) LiveRecords() int {
 	live := 0
 	for i := 0; i < p.NumSlots(); i++ {
-		if _, ln := p.slot(i); ln != 0 {
+		if _, ln := p.Slot(i); ln != 0 {
 			live++
 		}
 	}

@@ -77,8 +77,9 @@ func (bp *BufferPool) AcquireSnapshot() *Snapshot {
 func (sn *Snapshot) Tag() uint64 { return sn.tag }
 
 // Release deregisters the snapshot and retires any page versions only
-// it was keeping alive. Idempotent is NOT guaranteed — callers own the
-// single release (engine wrappers add idempotence where needed).
+// it was keeping alive. A repeated call is a no-op; concurrent calls on
+// one Snapshot are not safe (the released guard is not synchronized),
+// so exactly one goroutine owns the release.
 func (sn *Snapshot) Release() {
 	if sn.released {
 		return
@@ -120,14 +121,14 @@ func (sn *Snapshot) Fetch(id PageID) (*Frame, error) {
 				f.tier = tierProtected
 				bp.stats.promotions.Add(1)
 			}
-			f.pins.Add(1)
+			s.pinLocked(f)
 			s.mu.Unlock()
 			return f, nil
 		}
 		// Current content is pending or too new: fall through to the
 		// version sidecar.
 		if v := s.newestVisibleLocked(id, sn.tag); v != nil {
-			v.pins.Add(1)
+			s.pinLocked(v)
 			bp.stats.snapshotReads.Add(1)
 			s.mu.Unlock()
 			return v, nil
@@ -139,7 +140,7 @@ func (sn *Snapshot) Fetch(id PageID) (*Frame, error) {
 		return nil, fmt.Errorf("pages: snapshot %d has no visible version of page %d", sn.tag, id)
 	}
 	if v := s.newestVisibleLocked(id, sn.tag); v != nil {
-		v.pins.Add(1)
+		s.pinLocked(v)
 		bp.stats.snapshotReads.Add(1)
 		s.mu.Unlock()
 		return v, nil
@@ -166,7 +167,7 @@ func (sn *Snapshot) Fetch(id PageID) (*Frame, error) {
 			return nil, err
 		}
 	}
-	f.pins.Store(1)
+	s.pinLocked(f)
 	f.dirty = false
 	f.unlogged = false
 	f.pending = false
@@ -234,7 +235,7 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 	s.mu.Lock()
 	old, cached := s.table[id]
 	if cached && old.pending {
-		old.pins.Add(1)
+		s.pinLocked(old)
 		s.mu.Unlock()
 		return old, nil
 	}
@@ -260,7 +261,7 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 				return nil, err
 			}
 		}
-		f.pins.Store(0)
+		// Victims come unpinned, and the pre-image stays so.
 		f.dirty = false
 		f.unlogged = false
 		f.pending = false
@@ -283,14 +284,14 @@ func (bp *BufferPool) FetchForWrite(id PageID) (*Frame, error) {
 		// Roll the pre-image back to where it came from.
 		if !cached {
 			s.releaseFrameLocked(old)
-		} else if old.pins.Load() == 0 {
+		} else if old.pins == 0 {
 			old.lru = s.listFor(old).PushFront(old)
 		}
 		s.mu.Unlock()
 		return nil, err
 	}
 	pend.Page = old.Page // full 8 kB copy, same ID
-	pend.pins.Store(1)
+	s.pinLocked(pend)
 	pend.dirty = old.dirty
 	pend.unlogged = true
 	pend.pending = true
@@ -331,7 +332,7 @@ func (bp *BufferPool) PreparePublish(c *Capture) uint64 {
 			// LogDirtyFrame).
 			f.unlogged = false
 		}
-		if f.pins.Load() == 0 && f.lru == nil {
+		if f.pins == 0 && f.lru == nil {
 			f.lru = s.listFor(f).PushFront(f)
 			if f.tier == tierProtected {
 				s.enforceProtCapLocked()
@@ -390,7 +391,7 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 			pre.versioned = false
 			pre.supersededBy = 0
 			s.table[id] = pre
-			if pre.pins.Load() == 0 && pre.lru == nil {
+			if pre.pins == 0 && pre.lru == nil {
 				pre.lru = s.listFor(pre).PushFront(pre)
 				if pre.tier == tierProtected {
 					s.enforceProtCapLocked()
@@ -406,7 +407,7 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 		f.unlogged = false
 		f.pageLSN.Store(0)
 		f.verTag.Store(0)
-		if f.pins.Load() == 0 {
+		if f.pins == 0 {
 			s.releaseFrameLocked(f)
 		}
 		s.mu.Unlock()
@@ -417,7 +418,7 @@ func (bp *BufferPool) AbortCapture(c *Capture) {
 // superseding commit is published and no active snapshot predates it.
 // Caller holds the owning shard's mutex.
 func (bp *BufferPool) droppableLocked(f *Frame) bool {
-	if f.supersededBy == 0 || f.pins.Load() != 0 {
+	if f.supersededBy == 0 || f.pins != 0 {
 		return false
 	}
 	if f.supersededBy > bp.snapClock.Load() {

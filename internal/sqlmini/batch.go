@@ -40,7 +40,6 @@ const arenaChunk = 64 << 10
 
 // Batch is a column-major chunk of rows flowing between batch operators.
 type Batch struct {
-	keys []int64          // clustered keys of the live rows, [0:n)
 	cols [][]engine.Value // per schema column; nil for columns the plan never reads
 	n    int              // live row count
 	cap  int              // max rows the producer may fill this round
@@ -82,10 +81,6 @@ func (b *Batch) reset(capRows int) {
 	b.aggVals = nil
 	b.arena = b.arena[:0]
 	b.pins.Release()
-	if cap(b.keys) < capRows {
-		b.keys = make([]int64, capRows)
-	}
-	b.keys = b.keys[:capRows]
 }
 
 // recycle empties the batch between fills within one operator call:
@@ -135,9 +130,6 @@ func (b *Batch) copyBytes(src []byte) []byte {
 // row indices), moving survivors to the front of every live column in
 // place, and returns the new row count.
 func (b *Batch) compact(sel []int) int {
-	for j, i := range sel {
-		b.keys[j] = b.keys[i]
-	}
 	for ci := range b.cols {
 		col := b.cols[ci]
 		if col == nil {
@@ -231,7 +223,7 @@ func fillFromCursor(cur *engine.Cursor, b *Batch, need []bool) (int, error) {
 			b.ensureCol(ci)
 		}
 	}
-	n, err := cur.FillColumns(b.cap, need, b.keys, b.cols, b.copyBytes)
+	n, err := cur.FillColumns(b.cap, need, b.cols, b.copyBytes)
 	b.n = n
 	return n, err
 }
@@ -629,7 +621,6 @@ func (l *batchLimitOp) nextBatch(b *Batch) (int, error) {
 	}
 	if l.clip && int64(b.cap) > rem {
 		b.cap = int(rem)
-		b.keys = b.keys[:b.cap]
 	}
 	n, err := l.child.nextBatch(b)
 	if err != nil {

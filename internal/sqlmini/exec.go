@@ -292,9 +292,6 @@ func evalRowwise(c compiled, b *Batch, n int, scratch *[]engine.Value) ([]engine
 	ctx := rowCtx{batch: b, aggVals: b.aggVals}
 	for i := 0; i < n; i++ {
 		ctx.idx = i
-		if i < len(b.keys) {
-			ctx.key = b.keys[i]
-		}
 		v, err := c.eval(&ctx)
 		if err != nil {
 			return nil, err
